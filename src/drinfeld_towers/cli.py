@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
 3 resource limit hit.  Reports embed the run configuration that produced
-them; the thread count is deliberately left out of the serialized config so
-reports stay byte-identical across worker counts.
+them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ EXIT_RESOURCE = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run's output (thread count excluded)."""
+    """Everything that determines a run's output."""
 
     command: str
     p: int | None = None
@@ -49,16 +48,31 @@ class RunConfig:
 
 def _size_cap() -> int:
     raw = os.environ.get("DRINFELD_SIZE_CAP")
-    return int(raw) if raw else DEFAULT_SIZE_CAP
+    if not raw:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"DRINFELD_SIZE_CAP must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
 
 
 def _params(cfg: RunConfig) -> TowerParams:
     return TowerParams(cfg.p, cfg.e, cfg.m, cfg.j)
 
 
-def cmd_points(cfg: RunConfig, threads: int, out) -> int:
+def cmd_points(cfg: RunConfig, out) -> int:
     params = _params(cfg)
-    pts = enumerate_rational(params, cfg.n, cfg.variant, workers=threads)
+    pts = enumerate_rational(params, cfg.n, cfg.variant)
     if cfg.format == "csv":
         length = cfg.n if cfg.variant != "H" else cfg.n - 1
         cols = ",".join(f"coord_{i + 1}" for i in range(length))
@@ -76,7 +90,7 @@ def cmd_points(cfg: RunConfig, threads: int, out) -> int:
     return EXIT_OK
 
 
-def cmd_fibers(cfg: RunConfig, threads: int, out) -> int:
+def cmd_fibers(cfg: RunConfig, out) -> int:
     params = _params(cfg)
     ctx = params.field(params.m, cfg.size_cap)
     x = ctx.parse_elem(cfg.x)
@@ -90,7 +104,7 @@ def cmd_fibers(cfg: RunConfig, threads: int, out) -> int:
     return EXIT_OK
 
 
-def cmd_ss_count(cfg: RunConfig, threads: int, out) -> int:
+def cmd_ss_count(cfg: RunConfig, out) -> int:
     from .towers import count_supersingular
 
     params = _params(cfg)
@@ -105,18 +119,18 @@ def cmd_ss_count(cfg: RunConfig, threads: int, out) -> int:
     return EXIT_OK if count == formula else EXIT_FAILURE
 
 
-def cmd_verify(cfg: RunConfig, threads: int, out) -> int:
+def cmd_verify(cfg: RunConfig, out) -> int:
     if cfg.p is not None:
         grid = ((cfg.p, cfg.e, cfg.m, cfg.j),)
     else:
         grid = DEFAULT_GRID
-    report = run_suite(cfg.suite, grid, threads=threads, seed=cfg.seed)
+    report = run_suite(cfg.suite, grid, seed=cfg.seed)
     doc = {"config": cfg.to_dict(), "report": report}
     print(json.dumps(doc, sort_keys=True), file=out)
     return EXIT_OK if total_failures(report) == 0 else EXIT_FAILURE
 
 
-def cmd_bound(cfg: RunConfig, threads: int, out) -> int:
+def cmd_bound(cfg: RunConfig, out) -> int:
     v = ihara_bound(cfg.p, cfg.m)
     print(f"{v.numerator}/{v.denominator}", file=out)
     return EXIT_OK
@@ -135,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, required=True)
         sp.add_argument("--j", type=int, required=True)
         if with_n:
-            sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--threads", type=int, default=1)
+            sp.add_argument("--n", type=_positive_int, required=True)
 
     sp = sub.add_parser("points", help="enumerate rational tower points")
     add_params(sp, with_n=True)
@@ -156,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--m", type=int)
     sp.add_argument("--j", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json",), default="json")
 
@@ -184,23 +196,22 @@ def main(argv=None) -> int:
     if ns.command == "verify" and ns.p is not None and None in (ns.m, ns.j):
         print("verify with --p also needs --m and --j", file=sys.stderr)
         return EXIT_USAGE
-    cfg = RunConfig(
-        command=ns.command,
-        p=getattr(ns, "p", None),
-        e=getattr(ns, "e", None),
-        m=getattr(ns, "m", None),
-        j=getattr(ns, "j", None),
-        n=getattr(ns, "n", None),
-        variant=getattr(ns, "variant", None),
-        suite=getattr(ns, "suite", None),
-        x=getattr(ns, "x", None),
-        format=getattr(ns, "format", "json"),
-        size_cap=_size_cap(),
-        seed=getattr(ns, "seed", 0),
-    )
-    threads = getattr(ns, "threads", 1)
     try:
-        return _HANDLERS[ns.command](cfg, threads, sys.stdout)
+        cfg = RunConfig(
+            command=ns.command,
+            p=getattr(ns, "p", None),
+            e=getattr(ns, "e", None),
+            m=getattr(ns, "m", None),
+            j=getattr(ns, "j", None),
+            n=getattr(ns, "n", None),
+            variant=getattr(ns, "variant", None),
+            suite=getattr(ns, "suite", None),
+            x=getattr(ns, "x", None),
+            format=getattr(ns, "format", "json"),
+            size_cap=_size_cap(),
+            seed=getattr(ns, "seed", 0),
+        )
+        return _HANDLERS[ns.command](cfg, sys.stdout)
     except SizeCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -142,37 +142,13 @@ def least_irreducible(deg: int, ops) -> tuple:
 # ---------------------------------------------------------------------------
 # the two coefficient levels
 
-class _PrimeOps:
-    """Arithmetic on F_p represented as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.size = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0 in F_p")
-        return pow(a, -1, self.p)
-
-
 class _BaseOps:
     """Arithmetic on F_q = F_p[x]/(h), elements packed as ints in [0, q).
 
-    Packing: value = sum(digit_i * p^i) over the coefficients of x^i.
-    Multiplication results are memoised; the desk-scale fields used here keep
-    the cache tiny.
+    Packing: value = sum(digit_i * p^i) over the coefficients of x^i.  With
+    e = 1 this is plain F_p arithmetic, which is also what the digit
+    arithmetic of e > 1 runs on.  Multiplication results are memoised; the
+    desk-scale fields used here keep the cache tiny.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple):
@@ -180,7 +156,7 @@ class _BaseOps:
         self.e = e
         self.size = p**e
         self.modulus = modulus
-        self._pops = _PrimeOps(p)
+        self._pops = self if e == 1 else _BaseOps(p, 1, (0, 1))
         self._mul_cache: dict = {}
         self._inv_cache: dict = {}
 
@@ -252,8 +228,6 @@ class FieldCtx:
     """Immutable description of F_{q^d}; owns all element arithmetic.
 
     Elements are tuples of length d of base ints (see module docstring).
-    The context is safe to share across threads: every cache is append-only
-    and keyed by value.
     """
 
     def __init__(self, p: int, e: int, d: int, size_cap: int = DEFAULT_SIZE_CAP):
@@ -268,8 +242,7 @@ class FieldCtx:
         self.d = d
         self.q = p**e
         self.size_cap = size_cap
-        self._pops = _PrimeOps(p)
-        self.base_modulus = least_irreducible(e, self._pops)
+        self.base_modulus = least_irreducible(e, _BaseOps(p, 1, (0, 1)))
         self._bops = _BaseOps(p, e, self.base_modulus)
         self.ext_modulus = least_irreducible(d, self._bops)
         self.zero: FieldElem = (0,) * d
@@ -475,16 +448,20 @@ class FieldCtx:
                     v = self._bops.sub(v, 1)
                 row.append(v)
             rows.append(tuple(row))
-        basis = nullspace(tuple(rows), self._bops)
+        span = self.span_elements(nullspace(tuple(rows), self._bops))
+        self._subfield_cache[m] = tuple(span)
+        return span
+
+    def span_elements(self, basis) -> list:
+        """All F_q-linear combinations of the basis vectors, in canonical order."""
         span = [self.zero]
         for b in basis:
-            cur = list(span)
+            layer = list(span)
             for s in range(1, self.q):
-                sb = self.base_scale(s, tuple(b))
-                cur.extend(self.add(v, sb) for v in span)
-            span = cur
+                sb = self.base_scale(s, b)
+                layer.extend(self.add(v, sb) for v in span)
+            span = layer
         span.sort(key=self.to_int)
-        self._subfield_cache[m] = tuple(span)
         return span
 
     def all_elements(self) -> list:

@@ -200,16 +200,7 @@ class Subspace:
 
     def elements(self) -> list:
         """All q^dim members, sorted in canonical field order."""
-        ctx = self.ctx
-        span = [ctx.zero]
-        for b in self.basis:
-            layer = list(span)
-            for s in range(1, ctx.q):
-                sb = ctx.base_scale(s, b)
-                layer.extend(ctx.add(v, sb) for v in span)
-            span = layer
-        span.sort(key=ctx.to_int)
-        return span
+        return self.ctx.span_elements(self.basis)
 
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(b) for b in self.basis)

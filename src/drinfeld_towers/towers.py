@@ -2,13 +2,14 @@
 
 Variant F is the recursion tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1 = 0, variant
 G its (q-1)-power pushforward, and variant H the quotient recursion in the
-u-coordinates.  Rational points live in F_{q^m}^*; enumeration brute-forces
-each fiber over the canonical element order, so output is deterministic.
+u-coordinates.  Rational points live in F_{q^m}^*.  F-successors of x are the
+solutions of the affine F_q-linear equation Q_x(y) = x (`fiber_solutions`);
+G and H successors are found by scanning every element.  Both come out in
+canonical element order, so output is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,14 +139,19 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
 
 
 def _level_candidates(params, ctx, variant, prev):
-    """Successors of coordinate `prev` among the nonzero rational elements."""
+    """Successors of coordinate `prev` among the nonzero rational elements.
+
+    F(x, y) = 0 iff Q_x(y) = x, so F-successors come from the fiber solve;
+    Q_x(0) = 0 != x keeps zero out.  G and H have no such solve: G has more
+    rational points than the image of the F-points.
+    """
+    if variant == "F":
+        return fiber_solutions(params, ctx, prev)
     out = []
     for y in ctx.all_elements():
         if y == ctx.zero:
             continue
-        if variant == "F":
-            ok = eval_F(params, ctx, prev, y) == ctx.zero
-        elif variant == "G":
+        if variant == "G":
             ok = eval_G(params, ctx, prev, y) == ctx.zero
         else:
             den1, den2 = _h_denominators(params, ctx, prev)
@@ -157,14 +163,11 @@ def _level_candidates(params, ctx, variant, prev):
     return out
 
 
-def enumerate_rational(
-    params: TowerParams, n: int, variant: str, workers: int = 1
-) -> list:
+def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
     """All level-n points with coordinates in F_{q^m}^*, canonical order.
 
     Variant F/G points have n coordinates; variant H points have n-1
-    (u_2, ..., u_n) and require n >= 2.  Output order is independent of the
-    worker count.
+    (u_2, ..., u_n) and require n >= 2.
     """
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -177,20 +180,9 @@ def enumerate_rational(
     frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
     succ: dict = {}
     for _ in range(length - 1):
-        needed = []
         for t in frontier:
-            if t[-1] not in succ and t[-1] not in needed:
-                needed.append(t[-1])
-
-        def find(prev):
-            return _level_candidates(params, ctx, variant, prev)
-
-        if workers > 1 and len(needed) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                found = list(ex.map(find, needed))
-        else:
-            found = [find(prev) for prev in needed]
-        succ.update(zip(needed, found))
+            if t[-1] not in succ:
+                succ[t[-1]] = _level_candidates(params, ctx, variant, t[-1])
         frontier = [t + (y,) for t in frontier for y in succ[t[-1]]]
     return [
         TowerPoint(variant, params, ctx, coords, rationality_degree=params.m)

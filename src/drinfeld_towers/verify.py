@@ -4,7 +4,7 @@ Each suite returns a list of report entries
 {check, params, ambient_degree, cases_run, failures}; an entry may carry a
 "skipped" reason when its hypothesis (p not dividing k) fails.  Entry order is
 fixed by the grid and by canonical element order, so reports are byte-identical
-across runs and worker counts.
+across runs.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _entry(check: str, params: TowerParams, ambient_degree, cases: int, failures
     return out
 
 
-def suite_lemma1_6(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """eta_x phi^x_T = Q_x lambda_x for every nonzero x, in F_{q^m} and F_{q^{2m}}."""
     from .isogeny import verify_lemma_1_6
 
@@ -70,7 +70,7 @@ def suite_lemma1_6(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
     return entries
 
 
-def suite_thm1_7(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """lambda_x intertwines phi^x and phi^y on every fiber pair; composites too."""
     entries = []
     for tup in grid:
@@ -84,13 +84,11 @@ def suite_thm1_7(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
             lam = lambda_poly(params, ctx, x)
             phi_x = params.module_at(ctx, x)
             for y in fiber_solutions(params, ctx, x):
-                if y == ctx.zero:
-                    continue
                 cases += 1
                 if not check_intertwine(lam, phi_x, params.module_at(ctx, y)):
                     failures.append(f"x = {ctx.format_elem(x)}, y = {ctx.format_elem(y)}")
         # composites over length-3 chains (capped; order is canonical)
-        pts = enumerate_rational(params, 3, "F", workers=threads)
+        pts = enumerate_rational(params, 3, "F")
         for pt in pts[:20]:
             chain = XChain(params, ctx, pt.coords)
             cases += 1
@@ -105,7 +103,7 @@ def suite_thm1_7(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
     return entries
 
 
-def suite_theta(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def suite_theta(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """Marked-point consistency on length-2 chains in a splitting ambient."""
     entries = []
     for tup in grid:
@@ -117,7 +115,7 @@ def suite_theta(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
         failures = []
         cases = 0
         ambient = None
-        pts = enumerate_rational(params, 2, "F", workers=threads)
+        pts = enumerate_rational(params, 2, "F")
         for pt in pts[:3]:
             chain = XChain(params, ctx, pt.coords)
             deg = splitting_degree(chain.composite(), 2 * params.k)
@@ -136,7 +134,7 @@ def suite_theta(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
     return entries
 
 
-def suite_roundtrip(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def suite_roundtrip(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """Both composite identities of the level-structure equivalence at n = 1.
 
     Runs a nontrivial k = 2 case, a k = 1 collapse case, and flags the
@@ -180,7 +178,7 @@ def suite_roundtrip(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
     return entries
 
 
-def suite_rsu(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """Trace relations R = tr_k(u) - b, S = -tr_j(u) + a on rational and random pairs."""
     entries = []
     for tup in grid:
@@ -188,7 +186,7 @@ def suite_rsu(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
         ctx = params.field(params.m)
         failures = []
         cases = 0
-        for pt in enumerate_rational(params, 2, "F", workers=threads):
+        for pt in enumerate_rational(params, 2, "F"):
             cases += 1
             try:
                 rsu(params, ctx, pt.coords[0], pt.coords[1])
@@ -204,7 +202,7 @@ def suite_rsu(grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
         nonzero = [x for x in amb.all_elements() if x != amb.zero]
         while cases < 20:
             x = rng.choice(nonzero)
-            ys = [y for y in fiber_solutions(params, amb, x) if y != amb.zero]
+            ys = fiber_solutions(params, amb, x)
             if not ys:
                 continue
             y = rng.choice(ys)
@@ -226,15 +224,15 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, grid=DEFAULT_GRID, threads: int = 1, seed: int = 0) -> list:
+def run_suite(name: str, grid=DEFAULT_GRID, seed: int = 0) -> list:
     if name == "all":
         out = []
         for s in SUITES:
-            out.extend(_SUITE_FUNCS[s](grid, threads, seed))
+            out.extend(_SUITE_FUNCS[s](grid, seed))
         return out
     if name not in _SUITE_FUNCS:
         raise KeyError(f"unknown suite {name!r}")
-    return _SUITE_FUNCS[name](grid, threads, seed)
+    return _SUITE_FUNCS[name](grid, seed)
 
 
 def total_failures(report: list) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from drinfeld_towers.cli import RunConfig, main
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint
@@ -58,6 +60,13 @@ class TestPoints:
         )
         assert code == 2
 
+    def test_level_zero_rejected(self, capsys):
+        code, out = run(
+            capsys, "points", "--p", "2", "--m", "2", "--j", "1", "--n", "0",
+            "--variant", "F",
+        )
+        assert code == 2 and out == ""
+
     def test_resource_cap(self, capsys):
         code, _ = run(
             capsys, "ss-count", "--p", "7", "--m", "7", "--j", "1", "--n", "2"
@@ -77,6 +86,23 @@ class TestOtherCommands:
         code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "3")
         rec = json.loads(out)
         assert code == 0 and rec["enumerated"] == rec["formula"] == 12
+
+    def test_ss_count_rejects_level_zero(self, capsys):
+        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "0")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+    def test_malformed_size_cap_is_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("DRINFELD_SIZE_CAP", cap)
+        code = main(["bound", "--p", "2", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "DRINFELD_SIZE_CAP" in captured.err
+
+    def test_valid_size_cap_is_echoed(self, capsys, monkeypatch):
+        monkeypatch.setenv("DRINFELD_SIZE_CAP", "4096")
+        code, out = run(capsys, "fibers", "--p", "2", "--m", "2", "--j", "1", "--x", "[1,0]")
+        assert code == 0 and json.loads(out)["config"]["size_cap"] == 4096
 
     def test_bound_values(self, capsys):
         for args, want in [
@@ -120,6 +146,10 @@ class TestVerifyCommand:
 
 
 class TestRunConfig:
+    def test_threads_option_removed(self, capsys):
+        code, _ = run(capsys, "verify", "--suite", "rsu", "--threads", "2")
+        assert code == 2
+
     def test_serialization_has_no_thread_field(self):
         cfg = RunConfig(command="verify", suite="rsu")
         assert "threads" not in cfg.to_dict()

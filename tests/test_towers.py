@@ -156,10 +156,21 @@ class TestEnumeration:
             u, v = pt.coords
             assert eval_H_cross(P221, pt.ctx, u, v) == pt.ctx.zero
 
-    def test_worker_count_does_not_change_output(self):
-        a = enumerate_rational(P321, 3, "F", workers=1)
-        b = enumerate_rational(P321, 3, "F", workers=4)
-        assert [p.coords for p in a] == [p.coords for p in b]
+    @pytest.mark.parametrize("params", [P221, P321])
+    def test_f_enumeration_matches_brute_scan(self, params):
+        # oracle: extend each chain by every nonzero y with eval_F(x, y) = 0
+        ctx = params.field(params.m)
+        nonzero = [y for y in ctx.all_elements() if y != ctx.zero]
+        chains = [(x,) for x in nonzero]
+        for _ in range(2):
+            chains = [
+                t + (y,)
+                for t in chains
+                for y in nonzero
+                if eval_F(params, ctx, t[-1], y) == ctx.zero
+            ]
+        pts = enumerate_rational(params, 3, "F")
+        assert [p.coords for p in pts] == chains
 
     def test_counts_match_formula(self):
         assert count_supersingular(P221, 2) == (6, 6)
