@@ -248,27 +248,13 @@ class FieldCtx:
         self.zero: FieldElem = (0,) * d
         self.one: FieldElem = tuple([1] + [0] * (d - 1))
         # y^{d+i} reduced mod ext_modulus, for multiplication reduction
-        self._high_pows = []
-        cur = poly_trim(self.ext_modulus[:-1])  # y^d = -(low part), monic modulus
-        cur = tuple(self._bops.neg(c) for c in cur)
-        for _ in range(d - 1):
-            self._high_pows.append(self._pad(cur))
-            # multiply by y and reduce
-            shifted = (0,) + cur
-            if len(shifted) > d:
-                lead = shifted[d]
-                shifted = poly_trim(shifted[:d])
-                head = tuple(self._bops.mul(lead, c) for c in self._high_pows[0])
-                cur = tuple(
-                    self._bops.add(a, b)
-                    for a, b in zip(self._pad(shifted), head)
-                )
-                cur = poly_trim(cur)
-            else:
-                cur = poly_trim(shifted)
-        # Frobenius data, built lazily
-        self._frob_y = None
-        self._frob_b = None
+        self._high_pows = [
+            self._pad(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))
+            for i in range(d - 1)
+        ]
+        # (y^t)^q for each basis power; coefficients live in F_q and are fixed
+        # by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates
+        self._frob_y = [self.pow(self._pad((0,) * t + (1,)), self.q) for t in range(d)]
         self._subfield_cache: dict = {}
 
     # -- representation helpers ------------------------------------------------
@@ -389,20 +375,9 @@ class FieldCtx:
             n >>= 1
         return r
 
-    def _frob_setup(self):
-        # (y^t)^q for each basis power; coefficients live in F_q and are fixed
-        # by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates
-        if self._frob_y is None:
-            frob_y = []
-            for t in range(self.d):
-                yt = self._pad(tuple([0] * t + [1]))
-                frob_y.append(self.pow(yt, self.q))
-            self._frob_y = frob_y
-
     def frobenius(self, x: FieldElem, i: int = 1) -> FieldElem:
         """x^{q^i}; F_q-linear, so computed as a linear map on coordinates."""
-        self._frob_setup()
-        for _ in range(i):
+        for _ in range(i % self.d):
             acc = self.zero
             for t, c in enumerate(x):
                 if c:
@@ -437,7 +412,6 @@ class FieldCtx:
         from .linalg import nullspace
 
         # fixed points of frob^m: nullspace of (M - I)
-        self._frob_setup()
         cols = [self.frobenius(self._pad(tuple([0] * t + [1])), m) for t in range(self.d)]
         rows = []
         for r in range(self.d):

@@ -2,10 +2,12 @@
 
 Variant F is the recursion tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1 = 0, variant
 G its (q-1)-power pushforward, and variant H the quotient recursion in the
-u-coordinates.  Rational points live in F_{q^m}^*.  F-successors of x are the
-solutions of the affine F_q-linear equation Q_x(y) = x (`fiber_solutions`);
-G and H successors are found by scanning every element.  Both come out in
-canonical element order, so output is deterministic.
+u-coordinates.  Rational points live in F_{q^m}^*.  F- and H-successors are
+the solutions of an affine F_q-linear equation: Q_x(y) = x for F
+(`fiber_solutions`), the cross-multiplied recursion in v for H.  Only
+G-successors are found by scanning every element.  All come out in canonical
+element order, so output is deterministic.  Every q-power x^{q^i} is taken
+through the Frobenius linear map.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from .errors import NotInSubfield, NotOnCurve, NotPrime, SizeCapExceeded, ZeroDenominator, ZeroPoint
 from .field import FieldCtx, FieldElem, is_prime
 from .isogeny import TowerParams, q_poly
-from .ore import solve_affine
+from .ore import TwistedPoly, solve_affine
 
 ENUMERATION_CAP = 2**16
 
@@ -25,9 +27,10 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     """tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1; requires x != 0."""
     if x == ctx.zero:
         raise ZeroDenominator("x = 0 in the F-recursion")
-    q, j, k = ctx.q, params.j, params.k
-    t1 = ctx.trace_partial(ctx.mul(y, ctx.inv(ctx.pow(x, q**k))), j)
-    t2 = ctx.trace_partial(ctx.mul(ctx.pow(y, q**j), ctx.inv(x)), k)
+    j, k = params.j, params.k
+    x_inv = ctx.inv(x)
+    t1 = ctx.trace_partial(ctx.mul(y, ctx.frobenius(x_inv, k)), j)
+    t2 = ctx.trace_partial(ctx.mul(ctx.frobenius(y, j), x_inv), k)
     return ctx.sub(ctx.add(t1, t2), ctx.one)
 
 
@@ -49,9 +52,8 @@ def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> Fi
 
 
 def _h_denominators(params: TowerParams, ctx: FieldCtx, u: FieldElem):
-    q = ctx.q
     a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-    den1 = ctx.sub(ctx.pow(ctx.trace_partial(u, params.j), q**params.k), a_c)
+    den1 = ctx.sub(ctx.frobenius(ctx.trace_partial(u, params.j), params.k), a_c)
     den2 = ctx.sub(ctx.trace_partial(u, params.k), b_c)
     return den1, den2
 
@@ -63,20 +65,18 @@ def eval_H(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem) -> Fi
         raise ZeroDenominator("tr_j(u)^{q^k} - a vanishes")
     if den2 == ctx.zero:
         raise ZeroDenominator("tr_k(u) - b vanishes")
-    q = ctx.q
     a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
     num1 = ctx.sub(ctx.trace_partial(v, params.j), a_c)
-    num2 = ctx.sub(ctx.pow(ctx.trace_partial(v, params.k), q**params.j), b_c)
+    num2 = ctx.sub(ctx.frobenius(ctx.trace_partial(v, params.k), params.j), b_c)
     return ctx.sub(ctx.mul(num1, ctx.inv(den1)), ctx.mul(num2, ctx.inv(den2)))
 
 
 def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem) -> FieldElem:
     """Cross-multiplied form of the H-recursion, safe at degenerate denominators."""
     den1, den2 = _h_denominators(params, ctx, u)
-    q = ctx.q
     a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
     num1 = ctx.sub(ctx.trace_partial(v, params.j), a_c)
-    num2 = ctx.sub(ctx.pow(ctx.trace_partial(v, params.k), q**params.j), b_c)
+    num2 = ctx.sub(ctx.frobenius(ctx.trace_partial(v, params.k), params.j), b_c)
     return ctx.sub(ctx.mul(num1, den2), ctx.mul(num2, den1))
 
 
@@ -88,7 +88,6 @@ class TowerPoint:
     params: TowerParams
     ctx: FieldCtx
     coords: tuple
-    rationality_degree: int | None = None
 
     def __post_init__(self):
         ctx, pr = self.ctx, self.params
@@ -142,25 +141,26 @@ def _level_candidates(params, ctx, variant, prev):
     """Successors of coordinate `prev` among the nonzero rational elements.
 
     F(x, y) = 0 iff Q_x(y) = x, so F-successors come from the fiber solve;
-    Q_x(0) = 0 != x keeps zero out.  G and H have no such solve: G has more
-    rational points than the image of the F-points.
+    Q_x(0) = 0 != x keeps zero out.  Cross-multiplied, H(u, v) = 0 reads
+    den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is affine in v;
+    a degenerate denominator has no successors.  G has no such solve (it has
+    more rational points than the image of the F-points), so G scans.
     """
     if variant == "F":
         return fiber_solutions(params, ctx, prev)
-    out = []
-    for y in ctx.all_elements():
-        if y == ctx.zero:
-            continue
-        if variant == "G":
-            ok = eval_G(params, ctx, prev, y) == ctx.zero
-        else:
-            den1, den2 = _h_denominators(params, ctx, prev)
-            if den1 == ctx.zero or den2 == ctx.zero:
-                return []
-            ok = eval_H_cross(params, ctx, prev, y) == ctx.zero
-        if ok:
-            out.append(y)
-    return out
+    if variant == "H":
+        den1, den2 = _h_denominators(params, ctx, prev)
+        if den1 == ctx.zero or den2 == ctx.zero:
+            return []
+        f = TwistedPoly(ctx, [den2] * params.j + [ctx.neg(den1)] * params.k)
+        a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
+        c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
+        return [v for v in solve_affine(f, c) if v != ctx.zero]
+    return [
+        y
+        for y in ctx.all_elements()
+        if y != ctx.zero and eval_G(params, ctx, prev, y) == ctx.zero
+    ]
 
 
 def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
@@ -184,10 +184,7 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
             if t[-1] not in succ:
                 succ[t[-1]] = _level_candidates(params, ctx, variant, t[-1])
         frontier = [t + (y,) for t in frontier for y in succ[t[-1]]]
-    return [
-        TowerPoint(variant, params, ctx, coords, rationality_degree=params.m)
-        for coords in frontier
-    ]
+    return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
 
 
 def count_supersingular(params: TowerParams, n: int) -> tuple:
@@ -212,16 +209,17 @@ def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> RSU:
         raise ZeroPoint("rsu needs x != 0")
     if eval_F(params, ctx, x, y) != ctx.zero:
         raise NotOnCurve("(x, y) does not satisfy the F-recursion")
-    q, j, k, a, b = ctx.q, params.j, params.k, params.a, params.b
-    R = ctx.mul(y, ctx.inv(ctx.pow(x, q**k)))
-    S = ctx.mul(ctx.pow(y, q**j), ctx.inv(x))
+    j, k, a, b = params.j, params.k, params.a, params.b
+    x_inv = ctx.inv(x)
+    R = ctx.mul(y, ctx.frobenius(x_inv, k))
+    S = ctx.mul(ctx.frobenius(y, j), x_inv)
     acc = ctx.zero
     for r in range(a):
-        acc = ctx.add(acc, ctx.pow(R, q ** (r * k)))
+        acc = ctx.add(acc, ctx.frobenius(R, r * k))
     acc2 = ctx.zero
     for s in range(b):
-        acc2 = ctx.add(acc2, ctx.pow(S, q ** (s * j)))
-    u = ctx.add(acc, ctx.pow(acc2, q))
+        acc2 = ctx.add(acc2, ctx.frobenius(S, s * j))
+    u = ctx.add(acc, ctx.frobenius(acc2, 1))
     # the trace relations are load-bearing downstream; fail loudly if violated
     a_c, b_c = ctx.scalar(a), ctx.scalar(b)
     if R != ctx.sub(ctx.trace_partial(u, k), b_c):
@@ -238,11 +236,10 @@ def galois_action(params: TowerParams, mu: FieldElem, point: TowerPoint) -> Towe
     ctx = point.ctx
     if ctx.d % params.m != 0 or not ctx.in_subfield(mu, params.m) or mu == ctx.zero:
         raise NotInSubfield("mu must lie in F_{q^m}^*")
-    q, k = ctx.q, params.k
     coords = tuple(
-        ctx.mul(ctx.pow(mu, q ** (k * i)), x) for i, x in enumerate(point.coords)
+        ctx.mul(ctx.frobenius(mu, params.k * i), x) for i, x in enumerate(point.coords)
     )
-    return TowerPoint("F", params, ctx, coords, rationality_degree=point.rationality_degree)
+    return TowerPoint("F", params, ctx, coords)
 
 
 def ssing_u_set(params: TowerParams, n: int) -> set:

@@ -6,7 +6,7 @@ from drinfeld_towers.errors import (
     NotPrime,
     SizeCapExceeded,
 )
-from drinfeld_towers.field import FieldCtx, embed, make_field
+from drinfeld_towers.field import FieldCtx, embed, make_field, poly_mod, poly_mul
 
 
 @pytest.fixture
@@ -101,6 +101,23 @@ class TestFrobenius:
                 assert ctx.frobenius(ctx.add(x, y), 1) == ctx.add(
                     ctx.frobenius(x, 1), ctx.frobenius(y, 1)
                 )
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+    def test_frobenius_matches_pow(self, p, e, d):
+        # i runs past d, where x^{q^d} = x wraps the iteration count
+        ctx = make_field(p, e, d)
+        for x in ctx.all_elements():
+            for i in range(2 * d + 1):
+                assert ctx.frobenius(x, i) == ctx.pow(x, ctx.q**i)
+
+    def test_mul_matches_poly_mod(self):
+        # oracle for the precomputed reductions of y^{d+i}
+        ctx = make_field(2, 2, 3)
+        els = ctx.all_elements()
+        for x in els:
+            for y in els:
+                prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
+                assert ctx.mul(x, y) == ctx.element(prod)
 
 
 class TestTraceAndSubfields:

@@ -13,6 +13,7 @@ from drinfeld_towers.isogeny import TowerParams, q_poly
 from drinfeld_towers.ore import evaluate
 from drinfeld_towers.towers import (
     TowerPoint,
+    _h_denominators,
     count_supersingular,
     enumerate_rational,
     eval_F,
@@ -29,6 +30,7 @@ from drinfeld_towers.towers import (
 P221 = TowerParams(2, 1, 2, 1)
 P232 = TowerParams(2, 1, 3, 2)
 P321 = TowerParams(3, 1, 2, 1)
+P2232 = TowerParams(2, 2, 3, 2)
 F4 = P221.field(2)
 W = F4.from_int(2)
 
@@ -156,20 +158,27 @@ class TestEnumeration:
             u, v = pt.coords
             assert eval_H_cross(P221, pt.ctx, u, v) == pt.ctx.zero
 
-    @pytest.mark.parametrize("params", [P221, P321])
-    def test_f_enumeration_matches_brute_scan(self, params):
-        # oracle: extend each chain by every nonzero y with eval_F(x, y) = 0
+    @pytest.mark.parametrize(
+        "params,variant",
+        [(P221, "F"), (P321, "F"), (P221, "H"), (P321, "H"), (P2232, "H")],
+    )
+    def test_enumeration_matches_brute_scan(self, params, variant):
+        # oracle: extend each chain by every nonzero y the recursion accepts;
+        # an H-chain stops at a u whose denominators vanish
         ctx = params.field(params.m)
         nonzero = [y for y in ctx.all_elements() if y != ctx.zero]
+
+        def successors(x):
+            if variant == "F":
+                return [y for y in nonzero if eval_F(params, ctx, x, y) == ctx.zero]
+            if ctx.zero in _h_denominators(params, ctx, x):
+                return []
+            return [y for y in nonzero if eval_H_cross(params, ctx, x, y) == ctx.zero]
+
         chains = [(x,) for x in nonzero]
-        for _ in range(2):
-            chains = [
-                t + (y,)
-                for t in chains
-                for y in nonzero
-                if eval_F(params, ctx, t[-1], y) == ctx.zero
-            ]
-        pts = enumerate_rational(params, 3, "F")
+        for _ in range(2 if variant == "F" else 1):
+            chains = [t + (y,) for t in chains for y in successors(t[-1])]
+        pts = enumerate_rational(params, 3, variant)
         assert [p.coords for p in pts] == chains
 
     def test_counts_match_formula(self):
