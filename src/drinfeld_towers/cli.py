@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
-from .field import DEFAULT_SIZE_CAP
+from .field import size_cap
 from .isogeny import TowerParams
 from .towers import enumerate_rational, fiber_solutions, ihara_bound
 from .verify import DEFAULT_GRID, SUITES, run_suite, total_failures
@@ -39,24 +38,11 @@ class RunConfig:
     suite: str | None = None
     x: str | None = None
     format: str = "json"
-    size_cap: int = DEFAULT_SIZE_CAP
+    size_cap: int = field(default_factory=size_cap)
     seed: int = 0
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-def _size_cap() -> int:
-    raw = os.environ.get("DRINFELD_SIZE_CAP")
-    if not raw:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"DRINFELD_SIZE_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _positive_int(text: str) -> int:
@@ -92,7 +78,7 @@ def cmd_points(cfg: RunConfig, out) -> int:
 
 def cmd_fibers(cfg: RunConfig, out) -> int:
     params = _params(cfg)
-    ctx = params.field(params.m, cfg.size_cap)
+    ctx = params.field(params.m)
     x = ctx.parse_elem(cfg.x)
     ys = fiber_solutions(params, ctx, x)
     record = {
@@ -170,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--j", type=int)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json",), default="json")
 
     sp = sub.add_parser("bound", help="exact rational point-count bound")
     sp.add_argument("--p", type=int, required=True)
@@ -208,7 +193,6 @@ def main(argv=None) -> int:
             suite=getattr(ns, "suite", None),
             x=getattr(ns, "x", None),
             format=getattr(ns, "format", "json"),
-            size_cap=_size_cap(),
             seed=getattr(ns, "seed", 0),
         )
         return _HANDLERS[ns.command](cfg, sys.stdout)

@@ -44,9 +44,6 @@ class APoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, APoly)

@@ -45,10 +45,6 @@ class NotFoundWithinBound(AlgebraError):
     pass
 
 
-class NoSplittingFound(AlgebraError):
-    pass
-
-
 class CharacteristicDividesK(AlgebraError):
     pass
 

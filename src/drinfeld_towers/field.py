@@ -13,6 +13,7 @@ two builds of the same (p, e, d) agree bit for bit.
 from __future__ import annotations
 
 import functools
+import os
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -27,6 +28,20 @@ from .errors import (
 FieldElem = tuple  # length-d tuple of base ints; alias for readability
 
 DEFAULT_SIZE_CAP = 2**26
+
+
+def size_cap() -> int:
+    """Largest ambient field size allowed: $DRINFELD_SIZE_CAP, else DEFAULT_SIZE_CAP."""
+    raw = os.environ.get("DRINFELD_SIZE_CAP")
+    if not raw:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"DRINFELD_SIZE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def is_prime(n: int) -> bool:
@@ -230,18 +245,18 @@ class FieldCtx:
     Elements are tuples of length d of base ints (see module docstring).
     """
 
-    def __init__(self, p: int, e: int, d: int, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, p: int, e: int, d: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if e < 1 or d < 1:
             raise ValueError("extension degrees must be positive")
-        if p ** (e * d) > size_cap:
-            raise SizeCapExceeded(f"p^(e*d) = {p}^{e * d} exceeds cap {size_cap}")
+        cap = size_cap()
+        if p ** (e * d) > cap:
+            raise SizeCapExceeded(f"p^(e*d) = {p}^{e * d} exceeds cap {cap}")
         self.p = p
         self.e = e
         self.d = d
         self.q = p**e
-        self.size_cap = size_cap
         self.base_modulus = least_irreducible(e, _BaseOps(p, 1, (0, 1)))
         self._bops = _BaseOps(p, e, self.base_modulus)
         self.ext_modulus = least_irreducible(d, self._bops)
@@ -361,9 +376,6 @@ class FieldCtx:
         lead_inv = bops.inv(r0[-1])
         return self._pad(tuple(bops.mul(lead_inv, c) for c in s0))
 
-    def div(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        return self.mul(x, self.inv(y))
-
     def pow(self, x: FieldElem, n: int) -> FieldElem:
         if n < 0:
             return self.pow(self.inv(x), -n)
@@ -404,8 +416,6 @@ class FieldCtx:
         """All q^m elements of F_{q^m} inside this field, in canonical order."""
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
-        if self.q**m > self.size_cap:
-            raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds cap")
         cached = self._subfield_cache.get(m)
         if cached is not None:
             return list(cached)
@@ -456,13 +466,17 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=None)
-def _make_field_cached(p: int, e: int, d: int, size_cap: int) -> FieldCtx:
-    return FieldCtx(p, e, d, size_cap)
+def _make_field_cached(p: int, e: int, d: int, cap: int) -> FieldCtx:
+    return FieldCtx(p, e, d)
 
 
-def make_field(p: int, e: int, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
-    """Canonical context for F_{(p^e)^d}; deterministic across runs."""
-    return _make_field_cached(p, e, d, size_cap)
+def make_field(p: int, e: int, d: int) -> FieldCtx:
+    """Canonical context for F_{(p^e)^d}; deterministic across runs.
+
+    The current size cap is part of the cache key, so a lowered cap is
+    enforced even for a field built earlier.
+    """
+    return _make_field_cached(p, e, d, size_cap())
 
 
 # ---------------------------------------------------------------------------

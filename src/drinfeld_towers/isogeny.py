@@ -21,7 +21,7 @@ from .errors import (
     NotCyclic,
     ZeroPoint,
 )
-from .field import FieldCtx, FieldElem
+from .field import FieldCtx, FieldElem, make_field
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul
 
 
@@ -57,10 +57,8 @@ class TowerParams:
     def k_coprime_to_p(self) -> bool:
         return self.k % self.p != 0
 
-    def field(self, d: int, size_cap=None) -> FieldCtx:
-        from .field import DEFAULT_SIZE_CAP, make_field
-
-        return make_field(self.p, self.e, d, size_cap or DEFAULT_SIZE_CAP)
+    def field(self, d: int) -> FieldCtx:
+        return make_field(self.p, self.e, d)
 
     def module_at(self, ctx: FieldCtx, x: FieldElem) -> DrinfeldModule:
         """phi^x for this (m, j)."""

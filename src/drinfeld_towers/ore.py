@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import ContextMismatch, NoSplittingFound, SizeCapExceeded
+from .errors import ContextMismatch
 from .field import FieldCtx, FieldElem, embed, make_field
 
 
@@ -231,37 +231,19 @@ def solve_affine(f: TwistedPoly, c: FieldElem) -> list:
     return sols
 
 
-def splitting_degree(
-    f: TwistedPoly, target_dim: int, max_d: int | None = None, *, divisible_by: int = 1
-) -> int:
+def splitting_degree(f: TwistedPoly, target_dim: int) -> int:
     """Least multiple D of the ambient degree at which Ker(f) reaches target_dim.
 
     Requires a nonzero constant coefficient (so f is separable and the kernel
-    stops growing once full).  `divisible_by` additionally constrains D, for
-    callers that need the ambient to contain a fixed subfield.  Raises
-    NoSplittingFound if no D <= max_d works within the size cap.
+    stops growing once full).  Raises SizeCapExceeded once the next ambient
+    would outgrow the field size cap.
     """
     ctx = f.ctx
     if f.is_zero() or f.coeff(0) == ctx.zero:
         raise ValueError("splitting_degree needs a nonzero constant coefficient")
-    if max_d is None:
-        # largest degree the size cap allows
-        max_d = 1
-        while ctx.p ** (ctx.e * (max_d + 1)) <= ctx.size_cap:
-            max_d += 1
     D = ctx.d
-    while D <= max_d:
-        if D % divisible_by:
-            D += ctx.d
-            continue
-        try:
-            amb = make_field(ctx.p, ctx.e, D, ctx.size_cap)
-        except SizeCapExceeded:
-            break
-        g = f.map_to(amb)
-        if kernel(g).dim == target_dim:
+    while True:
+        amb = make_field(ctx.p, ctx.e, D)
+        if kernel(f.map_to(amb)).dim == target_dim:
             return D
         D += ctx.d
-    raise NoSplittingFound(
-        f"kernel of tau-degree-{f.tau_degree} polynomial never reached dim {target_dim} up to degree {max_d}"
-    )

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld_towers.cli import RunConfig, main
+from drinfeld_towers.field import is_prime
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint
+from drinfeld_towers.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -99,6 +108,23 @@ class TestOtherCommands:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "DRINFELD_SIZE_CAP" in captured.err
 
+    @pytest.mark.parametrize(
+        "cap, argv",
+        [
+            ("5", ["points", "--p", "3", "--m", "2", "--j", "1", "--n", "1", "--variant", "F"]),
+            ("5", ["ss-count", "--p", "3", "--m", "2", "--j", "1", "--n", "1"]),
+            ("5", ["verify", "--suite", "lemma1_6", "--p", "3", "--m", "2", "--j", "1"]),
+            ("5", ["fibers", "--p", "3", "--m", "2", "--j", "1", "--x", "[1,0]"]),
+            # F_4 fits, but the splitting ambient F_16 of the theta suite does not
+            ("10", ["verify", "--suite", "theta", "--p", "2", "--m", "2", "--j", "1"]),
+        ],
+        ids=["points", "ss-count", "verify-lemma1_6", "fibers", "verify-theta"],
+    )
+    def test_size_cap_is_resource_limit(self, capsys, monkeypatch, cap, argv):
+        monkeypatch.setenv("DRINFELD_SIZE_CAP", cap)
+        code, out = run(capsys, *argv)
+        assert code == 3 and out == ""
+
     def test_valid_size_cap_is_echoed(self, capsys, monkeypatch):
         monkeypatch.setenv("DRINFELD_SIZE_CAP", "4096")
         code, out = run(capsys, "fibers", "--p", "2", "--m", "2", "--j", "1", "--x", "[1,0]")
@@ -146,9 +172,12 @@ class TestVerifyCommand:
 
 
 class TestRunConfig:
-    def test_threads_option_removed(self, capsys):
-        code, _ = run(capsys, "verify", "--suite", "rsu", "--threads", "2")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "option", [["--threads", "2"], ["--format", "json"]], ids=["threads", "format"]
+    )
+    def test_removed_option_rejected(self, capsys, option):
+        code, out = run(capsys, "verify", "--suite", "rsu", *option)
+        assert code == 2 and out == ""
 
     def test_serialization_has_no_thread_field(self):
         cfg = RunConfig(command="verify", suite="rsu")
@@ -158,3 +187,69 @@ class TestRunConfig:
         cfg = RunConfig(command="bound", p=2, m=1)
         d = cfg.to_dict()
         assert "variant" not in d and d["p"] == 2
+
+
+# F_{q^m} above this size runs with the cap at this size; a full run stays
+# near a second only up to q^m = 27 (q^m = 64 takes 8-12 s for points or
+# thm1_7 at n = 3)
+FUZZ_FIELD_LIMIT = 27
+SMALL_TOWERS = [
+    (p, e, m, j)
+    for p in (2, 3, 5) for e in (1, 2, 3) for m in (2, 3) for j in range(1, m)
+    if (p**e) ** m <= FUZZ_FIELD_LIMIT
+]
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(["points", "fibers", "ss-count", "verify", "bound"]))
+    # half the draws are towers that run in full, which random draws seldom are
+    p, e, m, j = draw(st.one_of(st.sampled_from(SMALL_TOWERS), st.tuples(
+        st.integers(1, 5), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))))
+    n = draw(st.integers(0, 3))
+    variant = draw(st.sampled_from("FGH"))
+    suite = draw(st.sampled_from(SUITES + ("all",)))
+    digits = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=e * m, max_size=e * m))
+    x = draw(st.sampled_from(["[" + ",".join(map(str, digits)) + "]", "", "[", "[1,2", "abc", "[9]"]))
+    cap = draw(st.sampled_from([None, "abc", "0", "5", str(FUZZ_FIELD_LIMIT)]))
+    if cap is None and (p**e) ** m > FUZZ_FIELD_LIMIT:
+        cap = str(FUZZ_FIELD_LIMIT)
+    params = ["--p", str(p), "--e", str(e), "--m", str(m), "--j", str(j)]
+    argv = {
+        "points": ["points", *params, "--n", str(n), "--variant", variant],
+        "fibers": ["fibers", *params, "--x", x],
+        "ss-count": ["ss-count", *params, "--n", str(n)],
+        "verify": ["verify", "--suite", suite, *params],
+        "bound": ["bound", "--p", str(p), "--m", str(m)],
+    }[command]
+    # every command but bound builds F_{q^m} once its input is valid
+    builds = (
+        command != "bound"
+        and is_prime(p) and e >= 1 and 1 <= j < m and math.gcd(j, m - j) == 1
+        and (command not in ("points", "ss-count") or n >= 1)
+        and (command != "points" or variant != "H" or n >= 2)
+        and not (command == "verify" and suite == "theta" and (m - j) % p == 0)
+    )
+    return argv, cap, builds and cap in ("5", str(FUZZ_FIELD_LIMIT)) and int(cap) < (p**e) ** m
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_runs())
+def test_main_exit_codes(run_args):
+    argv, cap, over_cap = run_args
+    out = io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("DRINFELD_SIZE_CAP", None)
+        if cap is not None:
+            os.environ["DRINFELD_SIZE_CAP"] = cap
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+    if code == 1:
+        doc = json.loads(out.getvalue())
+        assert argv[0] in ("verify", "ss-count")
+        assert any(e["failures"] for e in doc["report"]) if argv[0] == "verify" else not doc["match"]
+    if over_cap:
+        assert code == 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers.errors import ContextMismatch, NoSplittingFound
+from drinfeld_towers.errors import ContextMismatch, SizeCapExceeded
 from drinfeld_towers.field import make_field
 from drinfeld_towers.ore import (
     Subspace,
@@ -205,11 +205,9 @@ class TestSplittingDegree:
         f = ore_add(TwistedPoly.tau(F4), -TwistedPoly.one(F4))
         assert splitting_degree(f, 1) == F4.d
 
-    def test_unreachable_target(self):
+    def test_unreachable_target(self, monkeypatch):
+        # the search stops at the cap: F_{2^8} is the last ambient tried
+        monkeypatch.setenv("DRINFELD_SIZE_CAP", "256")
         f = TwistedPoly(F4, (F4.one, F4.one))
-        with pytest.raises(NoSplittingFound):
-            splitting_degree(f, 5, max_d=8)
-
-    def test_divisibility_constraint(self):
-        f = TwistedPoly(F4, (F4.one, F4.one, F4.neg(F4.one)))
-        assert splitting_degree(f, 2, divisible_by=3) == 6
+        with pytest.raises(SizeCapExceeded):
+            splitting_degree(f, 5)
