@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a property-verification suite")
     sp.add_argument("--suite", choices=SUITES + ("all",), required=True)
     sp.add_argument("--p", type=int)
-    sp.add_argument("--e", type=int, default=1)
+    sp.add_argument("--e", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--j", type=int)
     sp.add_argument("--seed", type=int, default=0)
@@ -178,9 +178,15 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if ns.command == "verify" and ns.p is not None and None in (ns.m, ns.j):
-        print("verify with --p also needs --m and --j", file=sys.stderr)
-        return EXIT_USAGE
+    if ns.command == "verify":
+        if ns.suite == "roundtrip" and (ns.p, ns.e, ns.m, ns.j) != (None,) * 4:
+            print("verify --suite roundtrip runs fixed cases; it takes no --p/--e/--m/--j",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if ns.p is not None and None in (ns.m, ns.j):
+            print("verify with --p also needs --m and --j", file=sys.stderr)
+            return EXIT_USAGE
+        ns.e = 1 if ns.e is None else ns.e
     try:
         cfg = RunConfig(
             command=ns.command,

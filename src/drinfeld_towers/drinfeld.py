@@ -211,9 +211,9 @@ def module_from_point(ctx: FieldCtx, m: int, j: int, x: FieldElem) -> DrinfeldMo
     """The module phi^x with g(x) = x^{q^m - q^j} - x^{1 - q^j}; kills x."""
     if x == ctx.zero:
         raise ZeroPoint("phi^x needs x != 0")
-    q = ctx.q
-    head = ctx.pow(x, q**m - q**j)
-    tail = ctx.pow(x, 1 - q**j)
+    x_inv_qj = ctx.frobenius(ctx.inv(x), j)
+    head = ctx.mul(ctx.frobenius(x, m), x_inv_qj)
+    tail = ctx.mul(x, x_inv_qj)
     return DrinfeldModule(ctx, m, j, ctx.sub(head, tail))
 
 

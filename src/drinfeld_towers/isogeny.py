@@ -19,9 +19,10 @@ from .errors import (
     CharacteristicDividesK,
     NoMarkedPreimage,
     NotCyclic,
+    NotPrime,
     ZeroPoint,
 )
-from .field import FieldCtx, FieldElem, make_field
+from .field import FieldCtx, FieldElem, is_prime, make_field
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul
 
 
@@ -38,6 +39,10 @@ class TowerParams:
     b: int = dc_field(init=False)
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise NotPrime(f"{self.p} is not prime")
+        if self.e < 1:
+            raise ValueError(f"e must be at least 1, got {self.e}")
         k = self.m - self.j
         if self.m < 2 or not (1 <= self.j < self.m) or math.gcd(self.j, k) != 1:
             raise BadRankPair(f"bad (m, j) = ({self.m}, {self.j})")
@@ -71,10 +76,13 @@ def _require_nonzero(ctx: FieldCtx, x: FieldElem):
 
 
 def eta(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
-    """eta_x = 1 + x^{1-q} tau + ... + x^{1-q^{k-1}} tau^{k-1}."""
+    """eta_x = 1 + x^{1-q} tau + ... + x^{1-q^{k-1}} tau^{k-1}.
+
+    Each x^{1-q^i} is taken as x * (x^{-1})^{q^i}, so x is inverted once.
+    """
     _require_nonzero(ctx, x)
-    q = ctx.q
-    coeffs = [ctx.pow(x, 1 - q**i) for i in range(params.k)]
+    x_inv = ctx.inv(x)
+    coeffs = [ctx.mul(x, ctx.frobenius(x_inv, i)) for i in range(params.k)]
     return TwistedPoly(ctx, coeffs)
 
 
@@ -91,15 +99,16 @@ def lambda_poly(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly
 def q_poly(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
     """Q_x, tau-degree m-1, with the tau^j coefficient equal to 1."""
     _require_nonzero(ctx, x)
-    q, m, j, k = ctx.q, params.m, params.j, params.k
+    m, j, k = params.m, params.j, params.k
+    x_inv = ctx.inv(x)
     coeffs = []
     for s in range(m):
         if s < j:
-            coeffs.append(ctx.pow(x, 1 - q ** (k + s)))
+            coeffs.append(ctx.mul(x, ctx.frobenius(x_inv, k + s)))
         elif s == j:
             coeffs.append(ctx.one)
         else:
-            coeffs.append(ctx.pow(x, 1 - q ** (s - j)))
+            coeffs.append(ctx.mul(x, ctx.frobenius(x_inv, s - j)))
     return TwistedPoly(ctx, coeffs)
 
 

@@ -5,9 +5,11 @@ G its (q-1)-power pushforward, and variant H the quotient recursion in the
 u-coordinates.  Rational points live in F_{q^m}^*.  F- and H-successors are
 the solutions of an affine F_q-linear equation: Q_x(y) = x for F
 (`fiber_solutions`), the cross-multiplied recursion in v for H.  Only
-G-successors are found by scanning every element.  All come out in canonical
-element order, so output is deterministic.  Every q-power x^{q^i} is taken
-through the Frobenius linear map.
+G-successors are found by scanning every element, with the powers X^{-N_l}
+taken once per coordinate and Y^{N_i} once per enumeration (N_{l+1} =
+q N_l + 1, so each power is a Frobenius step and a multiply).  All come out
+in canonical element order, so output is deterministic.  Every q-power
+x^{q^i} is taken through the Frobenius linear map.
 """
 
 from __future__ import annotations
@@ -34,21 +36,30 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     return ctx.sub(ctx.add(t1, t2), ctx.one)
 
 
+def _n_powers(ctx: FieldCtx, z: FieldElem, m: int) -> list:
+    """[z^{N_0}, ..., z^{N_{m-1}}]; N_0 = 0 and N_{l+1} = q N_l + 1."""
+    pows = [ctx.one]
+    for _ in range(m - 1):
+        pows.append(ctx.mul(ctx.frobenius(pows[-1]), z))
+    return pows
+
+
+def _g_residual(params: TowerParams, ctx: FieldCtx, X, x_pows, Y, y_pows) -> FieldElem:
+    """eval_G from x_pows[l] = X^{-N_l} and y_pows[i] = Y^{N_i}."""
+    j, k = params.j, params.k
+    acc = ctx.zero
+    for i in range(params.m):
+        x_pow = x_pows[k + i] if i < j else x_pows[i - j]
+        acc = ctx.add(acc, ctx.mul(y_pows[i], x_pow))
+    return ctx.sub(ctx.mul(Y, ctx.pow(acc, ctx.q - 1)), X)
+
+
 def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> FieldElem:
     """Y * (sum of Y^{N_i}/X^{N_*} terms)^{q-1} - X with N_l = (q^l-1)/(q-1)."""
     if X == ctx.zero:
         raise ZeroDenominator("X = 0 in the G-recursion")
-    q, m, j, k = ctx.q, params.m, params.j, params.k
-    N = lambda l: (q**l - 1) // (q - 1)
-    acc = ctx.zero
-    X_inv = ctx.inv(X)
-    for i in range(j):
-        term = ctx.mul(ctx.pow(Y, N(i)), ctx.pow(X_inv, N(k + i)))
-        acc = ctx.add(acc, term)
-    for i in range(j, m):
-        term = ctx.mul(ctx.pow(Y, N(i)), ctx.pow(X_inv, N(i - j)))
-        acc = ctx.add(acc, term)
-    return ctx.sub(ctx.mul(Y, ctx.pow(acc, q - 1)), X)
+    x_pows = _n_powers(ctx, ctx.inv(X), params.m)
+    return _g_residual(params, ctx, X, x_pows, Y, _n_powers(ctx, Y, params.m))
 
 
 def _h_denominators(params: TowerParams, ctx: FieldCtx, u: FieldElem):
@@ -137,14 +148,15 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
     return solve_affine(q_poly(params, ctx, x), x)
 
 
-def _level_candidates(params, ctx, variant, prev):
+def _level_candidates(params, ctx, variant, prev, y_pows):
     """Successors of coordinate `prev` among the nonzero rational elements.
 
     F(x, y) = 0 iff Q_x(y) = x, so F-successors come from the fiber solve;
     Q_x(0) = 0 != x keeps zero out.  Cross-multiplied, H(u, v) = 0 reads
     den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is affine in v;
     a degenerate denominator has no successors.  G has no such solve (it has
-    more rational points than the image of the F-points), so G scans.
+    more rational points than the image of the F-points), so G scans the
+    nonzero y with their N-powers `y_pows`, inverting `prev` once.
     """
     if variant == "F":
         return fiber_solutions(params, ctx, prev)
@@ -156,10 +168,9 @@ def _level_candidates(params, ctx, variant, prev):
         a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
         c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
         return [v for v in solve_affine(f, c) if v != ctx.zero]
+    x_pows = _n_powers(ctx, ctx.inv(prev), params.m)
     return [
-        y
-        for y in ctx.all_elements()
-        if y != ctx.zero and eval_G(params, ctx, prev, y) == ctx.zero
+        y for y, pows in y_pows if _g_residual(params, ctx, prev, x_pows, y, pows) == ctx.zero
     ]
 
 
@@ -177,12 +188,14 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
         raise SizeCapExceeded(f"q^m = {params.q}^{params.m} exceeds enumeration cap")
     ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
-    frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
+    nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
+    y_pows = [(y, _n_powers(ctx, y, params.m)) for y in nonzero] if variant == "G" else None
+    frontier = [(x,) for x in nonzero]
     succ: dict = {}
     for _ in range(length - 1):
         for t in frontier:
             if t[-1] not in succ:
-                succ[t[-1]] = _level_candidates(params, ctx, variant, t[-1])
+                succ[t[-1]] = _level_candidates(params, ctx, variant, t[-1], y_pows)
         frontier = [t + (y,) for t in frontier for y in succ[t[-1]]]
     return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
 

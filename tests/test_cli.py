@@ -82,6 +82,18 @@ class TestPoints:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["points", "--n", "1", "--variant", "F"], ["ss-count", "--n", "1"]],
+        ids=["points", "ss-count"],
+    )
+    def test_non_prime_p_checked_before_cap(self, capsys, argv):
+        # q^m = 64^3 is over the enumeration cap, but p = 4 is invalid first
+        code = main([*argv, "--p", "4", "--e", "3", "--m", "3", "--j", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "invalid input: 4 is not prime\n"
+
 
 class TestOtherCommands:
     def test_fibers(self, capsys):
@@ -170,6 +182,14 @@ class TestVerifyCommand:
         skipped = [e for e in doc["report"] if e.get("skipped")]
         assert skipped and skipped[0]["skipped"] == "p divides k"
 
+    def test_roundtrip_rejects_grid_params(self, capsys):
+        # the suite runs fixed cases, so a grid would be echoed but not applied
+        code = main(
+            ["verify", "--suite", "roundtrip", "--p", "1", "--e", "0", "--m", "3", "--j", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+
 
 class TestRunConfig:
     @pytest.mark.parametrize(
@@ -229,6 +249,7 @@ def cli_runs(draw):
         and (command not in ("points", "ss-count") or n >= 1)
         and (command != "points" or variant != "H" or n >= 2)
         and not (command == "verify" and suite == "theta" and (m - j) % p == 0)
+        and not (command == "verify" and suite == "roundtrip")
     )
     return argv, cap, builds and cap in ("5", str(FUZZ_FIELD_LIMIT)) and int(cap) < (p**e) ** m
 

@@ -1,7 +1,7 @@
 import pytest
 
 from drinfeld_towers.drinfeld import APoly, DrinfeldModule, cyclic_module
-from drinfeld_towers.errors import BadRankPair, CharacteristicDividesK, ZeroPoint
+from drinfeld_towers.errors import BadRankPair, CharacteristicDividesK, NotPrime, ZeroPoint
 from drinfeld_towers.field import make_field
 from drinfeld_towers.isogeny import (
     TowerParams,
@@ -41,6 +41,12 @@ class TestParams:
     def test_gcd_enforced(self):
         with pytest.raises(BadRankPair):
             TowerParams(2, 1, 4, 2)
+
+    def test_base_field_validated(self):
+        with pytest.raises(NotPrime):
+            TowerParams(4, 3, 3, 1)
+        with pytest.raises(ValueError):
+            TowerParams(2, 0, 2, 1)
 
     def test_characteristic_flag(self):
         assert P331.k_coprime_to_p  # k = 2, p = 3

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from drinfeld_towers.errors import (
     ZeroDenominator,
     ZeroPoint,
 )
+from drinfeld_towers.field import FieldCtx, make_field
 from drinfeld_towers.isogeny import TowerParams, q_poly
 from drinfeld_towers.ore import evaluate
 from drinfeld_towers.towers import (
     TowerPoint,
     _h_denominators,
+    _n_powers,
     count_supersingular,
     enumerate_rational,
     eval_F,
@@ -33,6 +36,17 @@ P321 = TowerParams(3, 1, 2, 1)
 P2232 = TowerParams(2, 2, 3, 2)
 F4 = P221.field(2)
 W = F4.from_int(2)
+
+
+def g_by_pow(params, ctx, X, Y):
+    """The G-recursion with every power taken by square-and-multiply."""
+    q, m, j, k = ctx.q, params.m, params.j, params.k
+    N = lambda l: (q**l - 1) // (q - 1)
+    acc = ctx.zero
+    for i in range(m):
+        l = k + i if i < j else i - j
+        acc = ctx.add(acc, ctx.mul(ctx.pow(Y, N(i)), ctx.pow(X, -N(l))))
+    return ctx.sub(ctx.mul(Y, ctx.pow(acc, q - 1)), X)
 
 
 class TestEvalF:
@@ -86,6 +100,23 @@ class TestEvalG:
     def test_zero_x_rejected(self):
         with pytest.raises(ZeroDenominator):
             eval_G(P221, F4, F4.zero, W)
+
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (2, 2, 3)], ids=["F9", "F64"])
+    def test_n_powers_match_pow(self, p, e, d):
+        ctx = make_field(p, e, d)
+        q = ctx.q
+        for z in ctx.all_elements():
+            pows = _n_powers(ctx, z, 4)
+            assert pows == [ctx.pow(z, (q**l - 1) // (q - 1)) for l in range(4)]
+
+    @pytest.mark.parametrize("params", [P221, P321, P232])
+    def test_matches_pow_formula(self, params):
+        ctx = params.field(params.m)
+        for X in ctx.all_elements():
+            if X == ctx.zero:
+                continue
+            for Y in ctx.all_elements():
+                assert eval_G(params, ctx, X, Y) == g_by_pow(params, ctx, X, Y)
 
 
 class TestEvalH:
@@ -160,26 +191,42 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "params,variant",
-        [(P221, "F"), (P321, "F"), (P221, "H"), (P321, "H"), (P2232, "H")],
+        [
+            (P221, "F"), (P321, "F"), (P221, "H"), (P321, "H"), (P2232, "H"),
+            (P221, "G"), (P321, "G"), (P2232, "G"),
+        ],
     )
     def test_enumeration_matches_brute_scan(self, params, variant):
         # oracle: extend each chain by every nonzero y the recursion accepts;
-        # an H-chain stops at a u whose denominators vanish
+        # an H-chain stops at a u whose denominators vanish; G is checked
+        # against the square-and-multiply formula, not eval_G
         ctx = params.field(params.m)
         nonzero = [y for y in ctx.all_elements() if y != ctx.zero]
 
+        @functools.cache
         def successors(x):
             if variant == "F":
                 return [y for y in nonzero if eval_F(params, ctx, x, y) == ctx.zero]
+            if variant == "G":
+                return [y for y in nonzero if g_by_pow(params, ctx, x, y) == ctx.zero]
             if ctx.zero in _h_denominators(params, ctx, x):
                 return []
             return [y for y in nonzero if eval_H_cross(params, ctx, x, y) == ctx.zero]
 
         chains = [(x,) for x in nonzero]
-        for _ in range(2 if variant == "F" else 1):
+        for _ in range(1 if variant == "H" else 2):
             chains = [t + (y,) for t in chains for y in successors(t[-1])]
         pts = enumerate_rational(params, 3, variant)
         assert [p.coords for p in pts] == chains
+
+    def test_g_scan_inverts_once_per_coordinate(self, monkeypatch):
+        # one inverse per scanned coordinate and one per validated pair
+        ctx = P321.field(P321.m)
+        calls = []
+        inv = FieldCtx.inv
+        monkeypatch.setattr(FieldCtx, "inv", lambda self, x: calls.append(x) or inv(self, x))
+        pts = enumerate_rational(P321, 2, "G")
+        assert pts and len(calls) <= (P321.q**P321.m - 1) + len(pts)
 
     def test_counts_match_formula(self):
         assert count_supersingular(P221, 2) == (6, 6)
