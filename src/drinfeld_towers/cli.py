@@ -186,6 +186,9 @@ def main(argv=None) -> int:
         if ns.p is not None and None in (ns.m, ns.j):
             print("verify with --p also needs --m and --j", file=sys.stderr)
             return EXIT_USAGE
+        if ns.p is None and (ns.e, ns.m, ns.j) != (None,) * 3:
+            print("verify with --e, --m or --j also needs --p", file=sys.stderr)
+            return EXIT_USAGE
         ns.e = 1 if ns.e is None else ns.e
     try:
         cfg = RunConfig(

@@ -5,6 +5,10 @@ an element of F_q packed as an integer in [0, q) via base-p digits.  The
 tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
+For e > 1 each F_q operation is its polynomial formula over F_p on the
+digits, computed once per argument tuple.  Inverses at both levels come
+from the one extended Euclid, `poly_inv_mod`.
+
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
 two builds of the same (p, e, d) agree bit for bit.
@@ -122,6 +126,18 @@ def poly_mod(a, b, ops) -> tuple:
     return poly_divmod(a, b, ops)[1]
 
 
+def poly_inv_mod(a, modulus, ops) -> tuple:
+    """Inverse of a modulo an irreducible modulus, by extended Euclid; a must be nonzero."""
+    r0, r1 = poly_trim(a), modulus
+    s0, s1 = (1,), ()
+    while r1:
+        q, r = poly_divmod(r0, r1, ops)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, ops), ops)
+    lead_inv = ops.inv(r0[-1])
+    return tuple(ops.mul(lead_inv, c) for c in s0)
+
+
 def _poly_from_index(idx: int, deg: int, size: int) -> tuple:
     """Monic polynomial of given degree whose low coefficients encode idx base `size`."""
     coeffs = []
@@ -161,9 +177,9 @@ class _BaseOps:
     """Arithmetic on F_q = F_p[x]/(h), elements packed as ints in [0, q).
 
     Packing: value = sum(digit_i * p^i) over the coefficients of x^i.  With
-    e = 1 this is plain F_p arithmetic, which is also what the digit
-    arithmetic of e > 1 runs on.  Multiplication results are memoised; the
-    desk-scale fields used here keep the cache tiny.
+    e = 1 this is plain F_p arithmetic.  With e > 1 each operation is its
+    polynomial formula over F_p on the digits, computed once per argument
+    tuple: F_q has only q elements, so after warm-up every call is a lookup.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple):
@@ -171,9 +187,10 @@ class _BaseOps:
         self.e = e
         self.size = p**e
         self.modulus = modulus
-        self._pops = self if e == 1 else _BaseOps(p, 1, (0, 1))
-        self._mul_cache: dict = {}
-        self._inv_cache: dict = {}
+        if e > 1:
+            self._pops = _BaseOps(p, 1, (0, 1))
+            for name in ("add", "sub", "neg", "mul", "inv"):
+                setattr(self, name, functools.cache(getattr(self, name)))
 
     def _unpack(self, a: int) -> tuple:
         p, out = self.p, []
@@ -191,52 +208,30 @@ class _BaseOps:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        da, db = self._unpack(a), self._unpack(b)
-        return self._pack((x + y) % self.p for x, y in zip(da, db))
+        return self._pack(poly_add(self._unpack(a), self._unpack(b), self._pops))
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        da, db = self._unpack(a), self._unpack(b)
-        return self._pack((x - y) % self.p for x, y in zip(da, db))
+        return self._pack(poly_sub(self._unpack(a), self._unpack(b), self._pops))
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        return self._pack((-x) % self.p for x in self._unpack(a))
+        return self._pack(poly_sub((), self._unpack(a), self._pops))
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        key = (a, b) if a <= b else (b, a)
-        v = self._mul_cache.get(key)
-        if v is None:
-            pa = poly_trim(self._unpack(a))
-            pb = poly_trim(self._unpack(b))
-            prod = poly_mod(poly_mul(pa, pb, self._pops), self.modulus, self._pops)
-            v = self._pack(list(prod) + [0] * (self.e - len(prod)))
-            self._mul_cache[key] = v
-        return v
+        prod = poly_mul(self._unpack(a), self._unpack(b), self._pops)
+        return self._pack(poly_mod(prod, self.modulus, self._pops))
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_q")
         if self.e == 1:
             return pow(a, -1, self.p)
-        v = self._inv_cache.get(a)
-        if v is None:
-            v = self.pow(a, self.size - 2)
-            self._inv_cache[a] = v
-        return v
-
-    def pow(self, a, n):
-        r, b = 1, a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        return self._pack(poly_inv_mod(self._unpack(a), self.modulus, self._pops))
 
 
 class FieldCtx:
@@ -365,26 +360,19 @@ class FieldCtx:
     def inv(self, x: FieldElem) -> FieldElem:
         if x == self.zero:
             raise DivisionByZero("inverse of 0")
-        bops = self._bops
-        # extended Euclid on (x, ext_modulus) over F_q
-        r0, r1 = poly_trim(x), self.ext_modulus
-        s0, s1 = (1,), ()
-        while r1:
-            q, r = poly_divmod(r0, r1, bops)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, bops), bops)
-        lead_inv = bops.inv(r0[-1])
-        return self._pad(tuple(bops.mul(lead_inv, c) for c in s0))
+        return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
 
     def pow(self, x: FieldElem, n: int) -> FieldElem:
         if n < 0:
             return self.pow(self.inv(x), -n)
-        r, b = self.one, x
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
+        if n == 0:
+            return self.one
+        # left to right from the top bit: one squaring per lower bit
+        r = x
+        for bit in bin(n)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, x)
         return r
 
     def frobenius(self, x: FieldElem, i: int = 1) -> FieldElem:

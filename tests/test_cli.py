@@ -190,6 +190,13 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("option", ["--e", "--m", "--j"])
+    def test_grid_option_without_p_rejected(self, capsys, option):
+        # without --p the default grid runs, so the option would be echoed but not applied
+        code = main(["verify", "--suite", "rsu", option, "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+
 
 class TestRunConfig:
     @pytest.mark.parametrize(

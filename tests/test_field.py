@@ -6,7 +6,14 @@ from drinfeld_towers.errors import (
     NotPrime,
     SizeCapExceeded,
 )
-from drinfeld_towers.field import FieldCtx, embed, make_field, poly_mod, poly_mul
+from drinfeld_towers.field import (
+    FieldCtx,
+    _BaseOps,
+    embed,
+    make_field,
+    poly_mod,
+    poly_mul,
+)
 
 
 @pytest.fixture
@@ -60,11 +67,14 @@ class TestArithmetic:
         w = f4.from_int(2)
         assert f4.pow(w, 3) == f4.one
 
-    def test_inverse_everywhere(self, f9):
-        for x in f9.all_elements():
-            if x == f9.zero:
+    # e > 1 covers the shared extended Euclid at both levels, F_q and F_{q^d}
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (2, 2, 3), (3, 2, 2)])
+    def test_inverse_everywhere(self, p, e, d):
+        ctx = make_field(p, e, d)
+        for x in ctx.all_elements():
+            if x == ctx.zero:
                 continue
-            assert f9.mul(x, f9.inv(x)) == f9.one
+            assert ctx.mul(x, ctx.inv(x)) == ctx.one
 
     def test_inv_zero(self, f4):
         with pytest.raises(DivisionByZero):
@@ -79,6 +89,108 @@ class TestArithmetic:
         for x in f9.all_elements():
             if x != f9.zero:
                 assert f9.pow(x, -1) == f9.inv(x)
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 4), (2, 2, 3)])
+    def test_pow_matches_repeated_multiplication(self, p, e, d):
+        ctx = make_field(p, e, d)
+        for x in ctx.all_elements():
+            acc = ctx.one
+            for n in range(41):
+                assert ctx.pow(x, n) == acc
+                acc = ctx.mul(acc, x)
+            if x == ctx.zero:
+                continue
+            acc, x_inv = ctx.one, ctx.inv(x)
+            for n in range(4):
+                assert ctx.pow(x, -n) == acc
+                acc = ctx.mul(acc, x_inv)
+
+    def test_pow_of_two_power_only_squares(self, monkeypatch):
+        ctx = make_field(2, 2, 3)
+        calls = []
+        mul = FieldCtx.mul
+
+        def counting_mul(self, x, y):
+            calls.append(1)
+            return mul(self, x, y)
+
+        monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+        x = ctx.from_int(7)
+        for k in range(7):
+            calls.clear()
+            ctx.pow(x, 2**k)
+            assert len(calls) == k
+
+
+def _digits(a, p, e):
+    return [a // p**i % p for i in range(e)]
+
+
+def _undigits(ds, p):
+    return sum(c * p**i for i, c in enumerate(ds))
+
+
+def _schoolbook_mul(a, b, p, e, h):
+    """a*b in F_p[x]/(h) on base-p digits, h monic of degree e."""
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k]
+        for t in range(e + 1):
+            prod[k - e + t] = (prod[k - e + t] - c * h[t]) % p
+    return _undigits(prod[:e], p)
+
+
+class TestBaseField:
+    """F_q = F_p[x]/(h) against digit arithmetic written out here."""
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+    def test_ops_match_digit_oracle(self, p, e):
+        ctx = make_field(p, e, 1)
+        ops, h, q = ctx._bops, ctx.base_modulus, ctx.q
+        table = {}
+        for a in range(q):
+            da = _digits(a, p, e)
+            assert ops.neg(a) == _undigits([-x % p for x in da], p)
+            for b in range(q):
+                db = _digits(b, p, e)
+                assert ops.add(a, b) == _undigits([(x + y) % p for x, y in zip(da, db)], p)
+                assert ops.sub(a, b) == _undigits([(x - y) % p for x, y in zip(da, db)], p)
+                table[a, b] = _schoolbook_mul(a, b, p, e, h)
+                assert ops.mul(a, b) == table[a, b]
+        for a in range(1, q):
+            assert [b for b in range(q) if table[a, b] == 1] == [ops.inv(a)]
+
+    def test_inv_zero_raises_every_time(self):
+        ops = make_field(2, 2, 1)._bops
+        for _ in range(2):
+            with pytest.raises(DivisionByZero):
+                ops.inv(0)
+
+    def test_digit_work_once_per_argument_tuple(self, monkeypatch):
+        # a fresh context, so no other test has warmed its caches
+        ctx = FieldCtx(2, 2, 3)
+        calls = []
+        unpack = _BaseOps._unpack
+
+        def counting_unpack(self, a):
+            calls.append(a)
+            return unpack(self, a)
+
+        monkeypatch.setattr(_BaseOps, "_unpack", counting_unpack)
+        els = ctx.all_elements()
+        for _ in range(2):
+            for x in els:
+                for y in els:
+                    ctx.mul(x, y)
+                    ctx.add(x, y)
+                    ctx.sub(x, y)
+                if x != ctx.zero:
+                    ctx.inv(x)
+        # at most two unpacks per (add, sub, neg, mul, inv) argument tuple
+        assert len(calls) <= 2 * 5 * ctx.q**2
 
 
 class TestFrobenius:
