@@ -209,24 +209,18 @@ class Subspace:
 def kernel(f: TwistedPoly) -> Subspace:
     """All mu in the ambient with f(mu) = 0, as a canonical Subspace."""
     ctx = f.ctx
-    if f.is_zero():
-        return Subspace.from_vectors(ctx, [tuple([0] * t + [1] + [0] * (ctx.d - t - 1)) for t in range(ctx.d)])
-    rows = linear_matrix(f)
-    basis = linalg.nullspace(rows, ctx._bops)
-    return Subspace(ctx, tuple(basis))
+    return Subspace(ctx, tuple(linalg.nullspace(linear_matrix(f), ctx._bops)))
 
 
 def solve_affine(f: TwistedPoly, c: FieldElem) -> list:
     """All mu in the ambient with f(mu) = c, in canonical order."""
     ctx = f.ctx
-    if f.is_zero():
-        return [] if c != ctx.zero else kernel(f).elements()
     rows = linear_matrix(f)
     part = linalg.solve(rows, tuple(c), ctx._bops)
     if part is None:
         return []
-    ker = kernel(f)
-    sols = [ctx.add(tuple(part), k) for k in ker.elements()]
+    ker = ctx.span_elements(linalg.nullspace(rows, ctx._bops))
+    sols = [ctx.add(part, k) for k in ker]
     sols.sort(key=ctx.to_int)
     return sols
 

@@ -5,15 +5,17 @@ G its (q-1)-power pushforward, and variant H the quotient recursion in the
 u-coordinates.  Rational points live in F_{q^m}^*.  F- and H-successors are
 the solutions of an affine F_q-linear equation: Q_x(y) = x for F
 (`fiber_solutions`), the cross-multiplied recursion in v for H.  Only
-G-successors are found by scanning every element, with the powers X^{-N_l}
-taken once per coordinate and Y^{N_i} once per enumeration (N_{l+1} =
-q N_l + 1, so each power is a Frobenius step and a multiply).  All come out
-in canonical element order, so output is deterministic.  Every q-power
-x^{q^i} is taken through the Frobenius linear map.
+G-successors are found by scanning every element with `eval_G`, whose powers
+z^{N_l} are cached per element (N_{l+1} = q N_l + 1, so each power is a
+Frobenius step and a multiply).  All come out in canonical element order, so
+output is deterministic, and `TowerPoint` checks F- and H-pairs against the
+same cached successors.  Every q-power x^{q^i} is taken through the Frobenius
+linear map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,30 +38,27 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     return ctx.sub(ctx.add(t1, t2), ctx.one)
 
 
-def _n_powers(ctx: FieldCtx, z: FieldElem, m: int) -> list:
-    """[z^{N_0}, ..., z^{N_{m-1}}]; N_0 = 0 and N_{l+1} = q N_l + 1."""
+@functools.cache
+def _n_powers(ctx: FieldCtx, z: FieldElem, m: int) -> tuple:
+    """(z^{N_0}, ..., z^{N_{m-1}}); N_0 = 0 and N_{l+1} = q N_l + 1."""
     pows = [ctx.one]
     for _ in range(m - 1):
         pows.append(ctx.mul(ctx.frobenius(pows[-1]), z))
-    return pows
-
-
-def _g_residual(params: TowerParams, ctx: FieldCtx, X, x_pows, Y, y_pows) -> FieldElem:
-    """eval_G from x_pows[l] = X^{-N_l} and y_pows[i] = Y^{N_i}."""
-    j, k = params.j, params.k
-    acc = ctx.zero
-    for i in range(params.m):
-        x_pow = x_pows[k + i] if i < j else x_pows[i - j]
-        acc = ctx.add(acc, ctx.mul(y_pows[i], x_pow))
-    return ctx.sub(ctx.mul(Y, ctx.pow(acc, ctx.q - 1)), X)
+    return tuple(pows)
 
 
 def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> FieldElem:
     """Y * (sum of Y^{N_i}/X^{N_*} terms)^{q-1} - X with N_l = (q^l-1)/(q-1)."""
     if X == ctx.zero:
         raise ZeroDenominator("X = 0 in the G-recursion")
+    j, k = params.j, params.k
     x_pows = _n_powers(ctx, ctx.inv(X), params.m)
-    return _g_residual(params, ctx, X, x_pows, Y, _n_powers(ctx, Y, params.m))
+    y_pows = _n_powers(ctx, Y, params.m)
+    acc = ctx.zero
+    for i in range(params.m):
+        x_pow = x_pows[k + i] if i < j else x_pows[i - j]
+        acc = ctx.add(acc, ctx.mul(y_pows[i], x_pow))
+    return ctx.sub(ctx.mul(Y, ctx.pow(acc, ctx.q - 1)), X)
 
 
 def _h_denominators(params: TowerParams, ctx: FieldCtx, u: FieldElem):
@@ -93,7 +92,8 @@ def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem)
 
 @dataclass(frozen=True)
 class TowerPoint:
-    """A coordinate tuple on one tower level, validated at construction."""
+    """A coordinate tuple on one tower level, validated at construction:
+    each F- or H-pair (x, y) by y in `_level_candidates(x)`, each G-pair by `eval_G`."""
 
     variant: str  # "F", "G", or "H"
     params: TowerParams
@@ -106,17 +106,11 @@ class TowerPoint:
             raise ValueError(f"unknown variant {self.variant!r}")
         if any(x == ctx.zero for x in self.coords):
             raise ZeroPoint("tower coordinates must be nonzero")
-        pairs = list(zip(self.coords, self.coords[1:]))
-        if self.variant == "F":
-            bad = any(eval_F(pr, ctx, x, y) != ctx.zero for x, y in pairs)
-        elif self.variant == "G":
+        pairs = zip(self.coords, self.coords[1:])
+        if self.variant == "G":
             bad = any(eval_G(pr, ctx, x, y) != ctx.zero for x, y in pairs)
         else:
-            for u, _v in pairs:
-                den1, den2 = _h_denominators(pr, ctx, u)
-                if den1 == ctx.zero or den2 == ctx.zero:
-                    raise ZeroDenominator("degenerate denominator inside H-chain")
-            bad = any(eval_H_cross(pr, ctx, u, v) != ctx.zero for u, v in pairs)
+            bad = any(y not in _level_candidates(pr, ctx, self.variant, x) for x, y in pairs)
         if bad:
             raise NotOnCurve(f"coordinates violate the {self.variant}-recursion")
 
@@ -148,30 +142,30 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
     return solve_affine(q_poly(params, ctx, x), x)
 
 
-def _level_candidates(params, ctx, variant, prev, y_pows):
-    """Successors of coordinate `prev` among the nonzero rational elements.
+@functools.cache
+def _level_candidates(params, ctx, variant, prev) -> tuple:
+    """The nonzero successors of coordinate `prev`: the tower's successor relation.
 
-    F(x, y) = 0 iff Q_x(y) = x, so F-successors come from the fiber solve;
-    Q_x(0) = 0 != x keeps zero out.  Cross-multiplied, H(u, v) = 0 reads
-    den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is affine in v;
-    a degenerate denominator has no successors.  G has no such solve (it has
-    more rational points than the image of the F-points), so G scans the
-    nonzero y with their N-powers `y_pows`, inverting `prev` once.
+    Enumeration extends chains by these, and `TowerPoint` checks F- and H-pairs
+    by membership in them.  F(x, y) = 0 iff Q_x(y) = x, so F-successors come
+    from the fiber solve; Q_x(0) = 0 != x keeps zero out.  Cross-multiplied,
+    H(u, v) = 0 reads den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1,
+    which is affine in v; a degenerate denominator has no successors.  G has
+    no such solve (it has more rational points than the image of the
+    F-points), so G scans every nonzero y with `eval_G`.
     """
     if variant == "F":
-        return fiber_solutions(params, ctx, prev)
-    if variant == "H":
-        den1, den2 = _h_denominators(params, ctx, prev)
-        if den1 == ctx.zero or den2 == ctx.zero:
-            return []
-        f = TwistedPoly(ctx, [den2] * params.j + [ctx.neg(den1)] * params.k)
-        a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-        c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
-        return [v for v in solve_affine(f, c) if v != ctx.zero]
-    x_pows = _n_powers(ctx, ctx.inv(prev), params.m)
-    return [
-        y for y, pows in y_pows if _g_residual(params, ctx, prev, x_pows, y, pows) == ctx.zero
-    ]
+        return tuple(fiber_solutions(params, ctx, prev))
+    if variant == "G":
+        scan = (y for y in ctx.all_elements() if y != ctx.zero)
+        return tuple(y for y in scan if eval_G(params, ctx, prev, y) == ctx.zero)
+    den1, den2 = _h_denominators(params, ctx, prev)
+    if den1 == ctx.zero or den2 == ctx.zero:
+        return ()
+    f = TwistedPoly(ctx, [den2] * params.j + [ctx.neg(den1)] * params.k)
+    a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
+    c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
+    return tuple(v for v in solve_affine(f, c) if v != ctx.zero)
 
 
 def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
@@ -188,15 +182,11 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
         raise SizeCapExceeded(f"q^m = {params.q}^{params.m} exceeds enumeration cap")
     ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
-    nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
-    y_pows = [(y, _n_powers(ctx, y, params.m)) for y in nonzero] if variant == "G" else None
-    frontier = [(x,) for x in nonzero]
-    succ: dict = {}
+    frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
     for _ in range(length - 1):
-        for t in frontier:
-            if t[-1] not in succ:
-                succ[t[-1]] = _level_candidates(params, ctx, variant, t[-1], y_pows)
-        frontier = [t + (y,) for t in frontier for y in succ[t[-1]]]
+        frontier = [
+            t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1])
+        ]
     return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from drinfeld_towers import field
 from drinfeld_towers.errors import (
     DegreeNotDividing,
     DivisionByZero,
@@ -79,6 +80,21 @@ class TestArithmetic:
     def test_inv_zero(self, f4):
         with pytest.raises(DivisionByZero):
             f4.inv(f4.zero)
+
+    def test_inverse_once_per_element(self, monkeypatch):
+        # a fresh context, so no other test has warmed its inverse cache
+        ctx = FieldCtx(3, 1, 3)
+        calls = []
+        inv_mod = field.poly_inv_mod
+        monkeypatch.setattr(field, "poly_inv_mod", lambda *a: calls.append(a) or inv_mod(*a))
+        nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
+        for _ in range(2):
+            for x in nonzero:
+                ctx.inv(x)
+        assert len(calls) == ctx.q**ctx.d - 1
+        for _ in range(2):
+            with pytest.raises(DivisionByZero):
+                ctx.inv(ctx.zero)
 
     def test_fermat(self):
         ctx = make_field(2, 1, 4)

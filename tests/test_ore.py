@@ -185,6 +185,16 @@ class TestKernels:
         for c in F4.all_elements():
             assert len(solve_affine(f, c)) in (0, card)
 
+    def test_kernel_of_zero_is_whole_field(self):
+        ker = kernel(TwistedPoly.zero(F9))
+        assert ker.dim == 2
+        assert ker.elements() == F9.all_elements()
+
+    def test_solve_affine_zero_map(self):
+        zero = TwistedPoly.zero(F9)
+        assert solve_affine(zero, F9.zero) == F9.all_elements()
+        assert solve_affine(zero, F9.one) == []
+
     def test_subspace_span_and_containment(self):
         s = Subspace.from_vectors(F4, [W])
         assert s.dim == 1 and s.contains(W) and not s.contains(F4.one)

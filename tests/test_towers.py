@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from drinfeld_towers import field, towers
 from drinfeld_towers.errors import (
     NotInSubfield,
     NotOnCurve,
@@ -10,7 +11,7 @@ from drinfeld_towers.errors import (
     ZeroDenominator,
     ZeroPoint,
 )
-from drinfeld_towers.field import FieldCtx, make_field
+from drinfeld_towers.field import make_field
 from drinfeld_towers.isogeny import TowerParams, q_poly
 from drinfeld_towers.ore import evaluate
 from drinfeld_towers.towers import (
@@ -107,7 +108,7 @@ class TestEvalG:
         q = ctx.q
         for z in ctx.all_elements():
             pows = _n_powers(ctx, z, 4)
-            assert pows == [ctx.pow(z, (q**l - 1) // (q - 1)) for l in range(4)]
+            assert pows == tuple(ctx.pow(z, (q**l - 1) // (q - 1)) for l in range(4))
 
     @pytest.mark.parametrize("params", [P221, P321, P232])
     def test_matches_pow_formula(self, params):
@@ -219,14 +220,51 @@ class TestEnumeration:
         pts = enumerate_rational(params, 3, variant)
         assert [p.coords for p in pts] == chains
 
-    def test_g_scan_inverts_once_per_coordinate(self, monkeypatch):
-        # one inverse per scanned coordinate and one per validated pair
+    def test_g_scan_inverts_each_element_once(self, monkeypatch):
+        # X^{-1} is taken once per scanned coordinate, and its N-powers are
+        # shared with the Y^{N_i} of the same element
         ctx = P321.field(P321.m)
+        towers._level_candidates.cache_clear()
+        towers._n_powers.cache_clear()
+        ctx.inv.cache_clear()
         calls = []
-        inv = FieldCtx.inv
-        monkeypatch.setattr(FieldCtx, "inv", lambda self, x: calls.append(x) or inv(self, x))
-        pts = enumerate_rational(P321, 2, "G")
-        assert pts and len(calls) <= (P321.q**P321.m - 1) + len(pts)
+        inv_mod = field.poly_inv_mod
+        monkeypatch.setattr(field, "poly_inv_mod", lambda *a: calls.append(a) or inv_mod(*a))
+        assert enumerate_rational(P321, 2, "G")
+        units = P321.q**P321.m - 1
+        assert len(calls) <= units
+        assert towers._n_powers.cache_info().misses <= units
+
+    def test_enumeration_does_not_reevaluate(self, monkeypatch):
+        # enumerated F- and H-points pass validation by membership alone
+        def fail(*args):
+            raise AssertionError("recursion re-evaluated")
+
+        monkeypatch.setattr(towers, "eval_F", fail)
+        monkeypatch.setattr(towers, "eval_H_cross", fail)
+        assert len(enumerate_rational(P232, 5, "F")) == 1792
+        assert len(enumerate_rational(P321, 3, "H")) == 13
+
+    @pytest.mark.parametrize("params,deg", [(P221, 4), (P2232, 3)], ids=["F16", "F64"])
+    def test_validation_matches_recursion(self, params, deg):
+        # oracle: a pair is accepted exactly when the recursion holds; an H-pair
+        # also needs both denominators of u nonzero
+        ctx = params.field(deg)
+        nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
+
+        def accepted(variant, x, y):
+            try:
+                TowerPoint(variant, params, ctx, (x, y))
+            except NotOnCurve:
+                return False
+            return True
+
+        for x in nonzero:
+            h_ok = ctx.zero not in _h_denominators(params, ctx, x)
+            for y in nonzero:
+                assert accepted("F", x, y) == (eval_F(params, ctx, x, y) == ctx.zero)
+                on_h = h_ok and eval_H_cross(params, ctx, x, y) == ctx.zero
+                assert accepted("H", x, y) == on_h
 
     def test_counts_match_formula(self):
         assert count_supersingular(P221, 2) == (6, 6)
