@@ -9,6 +9,15 @@ For e > 1 each F_q operation is its polynomial formula over F_p on the
 digits, computed once per argument tuple.  Inverses at both levels come
 from the one extended Euclid, `poly_inv_mod`.
 
+A field with at most `LOG_CAP` elements also gets discrete-log tables for a
+primitive element g (the small-field design of FLINT's `fq_zech`, restricted
+to the multiplicative side): `mul`, `inv`, `pow` and `frobenius` become one
+lookup each, while `add` and `sub` stay coordinate-wise.  Larger fields use
+the coordinate arithmetic (`_mul_coords`, `_pow_coords`, `_frobenius_coords`),
+which also builds the tables and serves as their test oracle.  The cap is
+low because tables cost memory: a cap of 2^13 raised the peak RSS of the
+prime-field verify benchmark by 7%.
+
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
 two builds of the same (p, e, d) agree bit for bit.
@@ -32,6 +41,7 @@ from .errors import (
 FieldElem = tuple  # length-d tuple of base ints; alias for readability
 
 DEFAULT_SIZE_CAP = 2**26
+LOG_CAP = 2**10  # largest field that gets discrete-log tables
 
 
 def size_cap() -> int:
@@ -57,6 +67,20 @@ def is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +289,26 @@ class FieldCtx:
         ]
         # (y^t)^q for each basis power; coefficients live in F_q and are fixed
         # by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates
-        self._frob_y = [self.pow(self._pad((0,) * t + (1,)), self.q) for t in range(d)]
+        self._frob_y = [self._pow_coords(self._pad((0,) * t + (1,)), self.q) for t in range(d)]
         self._subfield_cache: dict = {}
+        self._log = None  # element -> k with g^k = element, when q^d <= LOG_CAP
+        if self.q**d <= LOG_CAP:
+            self._build_logs()
+
+    def _build_logs(self) -> None:
+        """exp[k] = g^k for the least primitive g in from_int order, and log = exp^{-1}."""
+        n = self.q**self.d - 1
+        primes = _prime_factors(n)
+        for v in range(1, n + 1):
+            g = self.from_int(v)
+            if all(self._pow_coords(g, n // r) != self.one for r in primes):
+                break
+        exp = [self.one]
+        for _ in range(n - 1):
+            exp.append(self._mul_coords(exp[-1], g))
+        self._n = n
+        self._exp = exp + exp  # doubled, so a sum of two logs needs no reduction
+        self._log = {x: k for k, x in enumerate(exp)}
 
     # -- representation helpers ------------------------------------------------
 
@@ -335,6 +377,14 @@ class FieldCtx:
         return tuple(self._bops.neg(a) for a in x)
 
     def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
+        log = self._log
+        if log is None:
+            return self._mul_coords(x, y)
+        if x == self.zero or y == self.zero:
+            return self.zero
+        return self._exp[log[x] + log[y]]
+
+    def _mul_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
         d, bops = self.d, self._bops
         out = [0] * (2 * d - 1)
         for i, a in enumerate(x):
@@ -361,29 +411,51 @@ class FieldCtx:
     def inv(self, x: FieldElem) -> FieldElem:
         if x == self.zero:
             raise DivisionByZero("inverse of 0")
-        return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
+        if self._log is None:
+            return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
+        return self._exp[self._n - self._log[x]]
 
     def pow(self, x: FieldElem, n: int) -> FieldElem:
         if n < 0:
-            return self.pow(self.inv(x), -n)
+            x, n = self.inv(x), -n
+        if self._log is None:
+            return self._pow_coords(x, n)
+        if x == self.zero:
+            return self.zero if n else self.one
+        return self._exp[self._log[x] * n % self._n]
+
+    def _pow_coords(self, x: FieldElem, n: int) -> FieldElem:
+        """x^n for n >= 0 by square-and-multiply."""
         if n == 0:
             return self.one
         # left to right from the top bit: one squaring per lower bit
         r = x
         for bit in bin(n)[3:]:
-            r = self.mul(r, r)
+            r = self._mul_coords(r, r)
             if bit == "1":
-                r = self.mul(r, x)
+                r = self._mul_coords(r, x)
         return r
 
     def frobenius(self, x: FieldElem, i: int = 1) -> FieldElem:
+        """x^{q^i}; x^{q^d} = x, so i wraps mod d."""
+        i %= self.d
+        if self._log is None:
+            return self._frobenius_coords(x, i)
+        if i == 0 or x == self.zero:
+            return x
+        return self._exp[self._log[x] * self.q**i % self._n]
+
+    def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
         """x^{q^i}; F_q-linear, so computed as a linear map on coordinates."""
+        add, mul = self._bops.add, self._bops.mul
         for _ in range(i % self.d):
-            acc = self.zero
-            for t, c in enumerate(x):
+            acc = [0] * self.d
+            for c, row in zip(x, self._frob_y):
                 if c:
-                    acc = self.add(acc, self.base_scale(c, self._frob_y[t]))
-            x = acc
+                    for t, r in enumerate(row):
+                        if r:
+                            acc[t] = add(acc[t], mul(c, r))
+            x = tuple(acc)
         return x
 
     def trace_partial(self, x: FieldElem, l: int) -> FieldElem:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from drinfeld_towers import field
@@ -12,6 +14,7 @@ from drinfeld_towers.field import (
     _BaseOps,
     embed,
     make_field,
+    poly_inv_mod,
     poly_mod,
     poly_mul,
 )
@@ -81,9 +84,8 @@ class TestArithmetic:
         with pytest.raises(DivisionByZero):
             f4.inv(f4.zero)
 
-    def test_inverse_once_per_element(self, monkeypatch):
-        # a fresh context, so no other test has warmed its inverse cache
-        ctx = FieldCtx(3, 1, 3)
+    @staticmethod
+    def _count_euclids(monkeypatch, ctx) -> int:
         calls = []
         inv_mod = field.poly_inv_mod
         monkeypatch.setattr(field, "poly_inv_mod", lambda *a: calls.append(a) or inv_mod(*a))
@@ -91,10 +93,18 @@ class TestArithmetic:
         for _ in range(2):
             for x in nonzero:
                 ctx.inv(x)
-        assert len(calls) == ctx.q**ctx.d - 1
         for _ in range(2):
             with pytest.raises(DivisionByZero):
                 ctx.inv(ctx.zero)
+        return len(calls)
+
+    def test_inverse_once_per_element(self, monkeypatch):
+        # a fresh context above LOG_CAP, so no other test has warmed its cache
+        ctx = FieldCtx(2, 1, 11)
+        assert self._count_euclids(monkeypatch, ctx) == ctx.q**ctx.d - 1
+
+    def test_logged_inverse_needs_no_euclid(self, monkeypatch):
+        assert self._count_euclids(monkeypatch, FieldCtx(3, 1, 3)) == 0
 
     def test_fermat(self):
         ctx = make_field(2, 1, 4)
@@ -121,21 +131,31 @@ class TestArithmetic:
                 assert ctx.pow(x, -n) == acc
                 acc = ctx.mul(acc, x_inv)
 
-    def test_pow_of_two_power_only_squares(self, monkeypatch):
-        ctx = make_field(2, 2, 3)
+    @staticmethod
+    def _pow_two_power_muls(monkeypatch, ctx) -> list:
+        """Coordinate multiplies made by ctx.pow(x, 2^k) for k = 0..6."""
         calls = []
-        mul = FieldCtx.mul
+        mul = FieldCtx._mul_coords
 
         def counting_mul(self, x, y):
             calls.append(1)
             return mul(self, x, y)
 
-        monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+        monkeypatch.setattr(FieldCtx, "_mul_coords", counting_mul)
         x = ctx.from_int(7)
+        counts = []
         for k in range(7):
             calls.clear()
             ctx.pow(x, 2**k)
-            assert len(calls) == k
+            counts.append(len(calls))
+        return counts
+
+    def test_pow_of_two_power_only_squares(self, monkeypatch):
+        # F_{4^6} is above LOG_CAP
+        assert self._pow_two_power_muls(monkeypatch, make_field(2, 2, 6)) == list(range(7))
+
+    def test_logged_pow_needs_no_multiply(self, monkeypatch):
+        assert self._pow_two_power_muls(monkeypatch, make_field(2, 2, 3)) == [0] * 7
 
 
 def _digits(a, p, e):
@@ -246,6 +266,52 @@ class TestFrobenius:
             for y in els:
                 prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
                 assert ctx.mul(x, y) == ctx.element(prod)
+
+
+class TestLogTables:
+    """The table path against the coordinate arithmetic it is built with."""
+
+    @pytest.mark.parametrize("p,e,d", [(2, 2, 3), (3, 1, 3), (2, 1, 6), (5, 1, 3)])
+    def test_matches_coordinate_path(self, p, e, d):
+        ctx = make_field(p, e, d)
+        size = ctx.q**ctx.d
+        assert len(ctx._log) == size - 1  # g generates every unit
+        els = ctx.all_elements()
+        for x in els:
+            for y in els:
+                assert ctx.mul(x, y) == ctx._mul_coords(x, y)
+            for i in range(ctx.d):
+                assert ctx.frobenius(x, i) == ctx._frobenius_coords(x, i)
+            for n in range(2 * size + 1):
+                assert ctx.pow(x, n) == ctx._pow_coords(x, n)
+            if x == ctx.zero:
+                continue
+            x_inv = ctx._pad(poly_inv_mod(x, ctx.ext_modulus, ctx._bops))
+            assert ctx.inv(x) == x_inv
+            for n in range(1, 4):
+                assert ctx.pow(x, -n) == ctx._pow_coords(x_inv, n)
+
+    def test_zero(self):
+        ctx = make_field(2, 2, 3)
+        for _ in range(2):
+            with pytest.raises(DivisionByZero):
+                ctx.pow(ctx.zero, -1)
+        assert ctx.pow(ctx.zero, 0) == ctx.one
+        assert ctx.pow(ctx.zero, 5) == ctx.zero
+
+    def test_largest_logged_field(self):
+        ctx = make_field(2, 1, 10)
+        assert field.LOG_CAP == 2**10
+        assert len(ctx._log) == 2**10 - 1
+        rng = random.Random(1)
+        for _ in range(2000):
+            x, y = ctx.from_int(rng.randrange(2**10)), ctx.from_int(rng.randrange(2**10))
+            assert ctx.mul(x, y) == ctx._mul_coords(x, y)
+            i = rng.randrange(ctx.d)
+            assert ctx.frobenius(x, i) == ctx._frobenius_coords(x, i)
+
+    def test_no_tables_above_cap(self):
+        assert make_field(2, 1, 11)._log is None
 
 
 class TestTraceAndSubfields:
