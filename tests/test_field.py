@@ -12,7 +12,10 @@ from drinfeld_towers.errors import (
 from drinfeld_towers.field import (
     FieldCtx,
     _BaseOps,
+    _is_irreducible,
+    _poly_from_index,
     embed,
+    least_irreducible,
     make_field,
     poly_inv_mod,
     poly_mod,
@@ -60,6 +63,73 @@ class TestConstruction:
         assert [a.to_int(x) for x in a.all_elements()] == [
             b.to_int(x) for x in b.all_elements()
         ]
+
+
+def _trial_division_irreducible(f, ops):
+    """Oracle: no monic divisor of degree 1..deg/2, found by dividing by each."""
+    deg = len(f) - 1
+    if deg <= 0:
+        return False
+    for t in range(1, deg // 2 + 1):
+        for idx in range(ops.size**t):
+            if not poly_mod(f, _poly_from_index(idx, t, ops.size), ops):
+                return False
+    return True
+
+
+def _coefficient_ops(p, e):
+    """F_q = F_p[x]/(h) with h the least irreducible, as FieldCtx builds it."""
+    fp = _BaseOps(p, 1, (0, 1))
+    return fp if e == 1 else _BaseOps(p, e, least_irreducible(e, fp))
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p,e,max_deg", [(2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3), (3, 2, 3)])
+    def test_ben_or_matches_trial_division(self, p, e, max_deg):
+        ops = _coefficient_ops(p, e)
+        assert not _is_irreducible((), ops)
+        for deg in range(max_deg + 1):  # degree 0 is the constant 1
+            for idx in range(ops.size**deg):
+                f = _poly_from_index(idx, deg, ops.size)
+                assert _is_irreducible(f, ops) == _trial_division_irreducible(f, ops), f
+
+    # the moduli trial division chose; every element encoding depends on them
+    @pytest.mark.parametrize(
+        "p,e,d,modulus",
+        [
+            (2, 1, 2, (1, 1, 1)),
+            (2, 1, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+            (2, 1, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+            (3, 1, 6, (2, 1, 0, 0, 0, 0, 1)),
+            (3, 1, 9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
+            (5, 1, 6, (2, 1, 0, 0, 0, 0, 1)),
+            (5, 1, 8, (2, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (5, 1, 10, (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (7, 1, 6, (2, 0, 0, 0, 0, 0, 1)),
+            (2, 2, 4, (1, 2, 1, 0, 1)),
+            (2, 2, 6, (2, 1, 1, 0, 0, 0, 1)),
+            (2, 2, 12, (1, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (2, 3, 4, (1, 1, 0, 0, 1)),
+            (3, 2, 4, (4, 0, 0, 0, 1)),
+            (5, 2, 3, (6, 0, 0, 1)),
+        ],
+    )
+    def test_least_irreducible_pinned(self, p, e, d, modulus):
+        assert least_irreducible(d, _coefficient_ops(p, e)) == modulus
+
+    def test_search_makes_few_divisions(self, monkeypatch):
+        # trial division makes 4,657 divisions here
+        calls = []
+        divmod_ = field.poly_divmod
+
+        def counting_divmod(a, b, ops):
+            calls.append(b)
+            return divmod_(a, b, ops)
+
+        monkeypatch.setattr(field, "poly_divmod", counting_divmod)
+        modulus = least_irreducible(10, _BaseOps(5, 1, (0, 1)))
+        assert modulus == (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert len(calls) < 1000
 
 
 class TestArithmetic:
@@ -206,8 +276,6 @@ class TestBaseField:
                 ops.inv(0)
 
     def test_digit_work_once_per_argument_tuple(self, monkeypatch):
-        # a fresh context, so no other test has warmed its caches
-        ctx = FieldCtx(2, 2, 3)
         calls = []
         unpack = _BaseOps._unpack
 
@@ -216,17 +284,49 @@ class TestBaseField:
             return unpack(self, a)
 
         monkeypatch.setattr(_BaseOps, "_unpack", counting_unpack)
+        # fresh contexts, so no other test has warmed their caches; for p = 2
+        # add and sub are XOR, so F_{9^2} is the one whose add/sub/neg use F_q
+        for ctx in (FieldCtx(2, 2, 3), FieldCtx(3, 2, 2)):
+            calls.clear()
+            els = ctx.all_elements()
+            for _ in range(2):
+                for x in els:
+                    for y in els:
+                        ctx.mul(x, y)
+                        ctx.add(x, y)
+                        ctx.sub(x, y)
+                    ctx.neg(x)
+                    if x != ctx.zero:
+                        ctx.inv(x)
+            # at most two unpacks per (add, sub, neg, mul, inv) argument tuple
+            assert len(calls) <= 2 * 5 * ctx.q**2
+
+
+class TestAddition:
+    """add/sub/neg against the per-coordinate F_q operations."""
+
+    @staticmethod
+    def _check(ctx, x, y):
+        ops = ctx._bops
+        assert ctx.add(x, y) == tuple(ops.add(a, b) for a, b in zip(x, y))
+        assert ctx.sub(x, y) == tuple(ops.sub(a, b) for a, b in zip(x, y))
+        assert ctx.neg(x) == tuple(ops.neg(a) for a in x)
+
+    # e = 1 (ints mod p), p = 2 with e > 1 (XOR) and e = 1 with p = 2
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (2, 1, 6)])
+    def test_every_pair(self, p, e, d):
+        ctx = make_field(p, e, d)
         els = ctx.all_elements()
-        for _ in range(2):
-            for x in els:
-                for y in els:
-                    ctx.mul(x, y)
-                    ctx.add(x, y)
-                    ctx.sub(x, y)
-                if x != ctx.zero:
-                    ctx.inv(x)
-        # at most two unpacks per (add, sub, neg, mul, inv) argument tuple
-        assert len(calls) <= 2 * 5 * ctx.q**2
+        for x in els:
+            for y in els:
+                self._check(ctx, x, y)
+
+    def test_sample_odd_extension(self):
+        ctx = make_field(3, 2, 2)
+        els = ctx.all_elements()
+        rng = random.Random(2)
+        for _ in range(2000):
+            self._check(ctx, rng.choice(els), rng.choice(els))
 
 
 class TestFrobenius:
