@@ -191,19 +191,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         ns.e = 1 if ns.e is None else ns.e
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            p=getattr(ns, "p", None),
-            e=getattr(ns, "e", None),
-            m=getattr(ns, "m", None),
-            j=getattr(ns, "j", None),
-            n=getattr(ns, "n", None),
-            variant=getattr(ns, "variant", None),
-            suite=getattr(ns, "suite", None),
-            x=getattr(ns, "x", None),
-            format=getattr(ns, "format", "json"),
-            seed=getattr(ns, "seed", 0),
-        )
+        cfg = RunConfig(**vars(ns))  # every subcommand's options are RunConfig fields
         return _HANDLERS[ns.command](cfg, sys.stdout)
     except SizeCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AmbientTooSmall, BadRankPair, NotCyclic, NotFoundWithinBound, ZeroPoint
-from .field import FieldCtx, FieldElem, poly_add, poly_divmod, poly_mul, poly_sub, poly_trim
+from .field import FieldCtx, FieldElem, _poly_from_index, poly_add, poly_divmod, poly_mul, poly_sub, poly_trim
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_add, ore_mul
 
 
@@ -104,14 +104,8 @@ class APoly:
 
 def monic_apolys(ctx: FieldCtx, degree: int):
     """All monic polynomials of the given degree, canonical (base-q) order."""
-    q = ctx.q
-    for idx in range(q**degree):
-        coeffs, v = [], idx
-        for _ in range(degree):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        yield APoly(ctx, coeffs)
+    for idx in range(ctx.q**degree):
+        yield APoly(ctx, _poly_from_index(idx, degree, ctx.q))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ FieldElem = tuple  # length-d tuple of base ints; alias for readability
 
 DEFAULT_SIZE_CAP = 2**26
 LOG_CAP = 2**10  # largest field that gets discrete-log tables
+ENUMERATION_CAP = 2**16  # largest field `subfield_elements` lists
 
 
 def size_cap() -> int:
@@ -61,14 +62,7 @@ def size_cap() -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list:
@@ -511,26 +505,24 @@ class FieldCtx:
         return self.frobenius(x, m) == x
 
     def subfield_elements(self, m: int) -> list:
-        """All q^m elements of F_{q^m} inside this field, in canonical order."""
+        """All q^m elements of F_{q^m} inside this field, in canonical order.
+
+        This is the one place that lists a whole field, so it refuses one of
+        more than ENUMERATION_CAP elements.
+        """
+        if self.q**m > ENUMERATION_CAP:
+            raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
         cached = self._subfield_cache.get(m)
         if cached is not None:
             return list(cached)
-        from .linalg import nullspace
+        from .linalg import solve
 
-        # fixed points of frob^m: nullspace of (M - I)
-        cols = [self.frobenius(self._pad(tuple([0] * t + [1])), m) for t in range(self.d)]
-        rows = []
-        for r in range(self.d):
-            row = []
-            for c in range(self.d):
-                v = cols[c][r]
-                if r == c:
-                    v = self._bops.sub(v, 1)
-                row.append(v)
-            rows.append(tuple(row))
-        span = self.span_elements(nullspace(tuple(rows), self._bops))
+        # fixed points of frob^m: the kernel of u -> u^{q^m} - u
+        units = [self._pad((0,) * t + (1,)) for t in range(self.d)]
+        cols = [self.sub(self.frobenius(u, m), u) for u in units]
+        span = self.span_elements(solve(tuple(zip(*cols)), self.zero, self._bops)[1])
         self._subfield_cache[m] = tuple(span)
         return span
 

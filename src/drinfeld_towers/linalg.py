@@ -39,24 +39,14 @@ def rref(rows, ops):
     return out, tuple(pivots)
 
 
-def nullspace(rows, ops):
-    """Canonical RREF basis of {v : rows . v = 0}."""
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(rows, ops)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = ops.neg(red[r][fc])
-        basis.append(tuple(v))
-    red_basis, _ = rref(tuple(basis), ops)
-    return red_basis
-
-
 def solve(rows, rhs, ops):
-    """One solution of rows . v = rhs, or None if inconsistent."""
+    """All solutions of rows . v = rhs, read off one RREF of the augmented matrix.
+
+    Returns (one solution, kernel basis), or None if the system is
+    inconsistent.  The solution is 0 at every free column; the kernel basis
+    has one vector per free column, in column order, and is not reduced
+    (`ore.Subspace.from_vectors` makes it canonical).
+    """
     ncols = len(rows[0]) if rows else 0
     aug = tuple(tuple(row) + (b,) for row, b in zip(rows, rhs))
     red, pivots = rref(aug, ops)
@@ -65,4 +55,13 @@ def solve(rows, rhs, ops):
     v = [0] * ncols
     for r, pc in enumerate(pivots):
         v[pc] = red[r][ncols]
-    return tuple(v)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        u = [0] * ncols
+        u[fc] = 1
+        for r, pc in enumerate(pivots):
+            u[pc] = ops.neg(red[r][fc])
+        basis.append(tuple(u))
+    return tuple(v), tuple(basis)

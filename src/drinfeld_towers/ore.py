@@ -164,11 +164,7 @@ def linear_matrix(f: TwistedPoly):
     Column i holds the coordinates of f(y^i) in the basis {1, y, ..., y^{d-1}}.
     """
     ctx = f.ctx
-    cols = []
-    for t in range(ctx.d):
-        basis_elem = tuple([0] * t + [1] + [0] * (ctx.d - t - 1))
-        cols.append(evaluate(f, basis_elem))
-    return tuple(tuple(cols[c][r] for c in range(ctx.d)) for r in range(ctx.d))
+    return tuple(zip(*(evaluate(f, ctx._pad((0,) * t + (1,))) for t in range(ctx.d))))
 
 
 @dataclass(frozen=True)
@@ -202,25 +198,21 @@ class Subspace:
         """All q^dim members, sorted in canonical field order."""
         return self.ctx.span_elements(self.basis)
 
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
 
 def kernel(f: TwistedPoly) -> Subspace:
     """All mu in the ambient with f(mu) = 0, as a canonical Subspace."""
     ctx = f.ctx
-    return Subspace(ctx, tuple(linalg.nullspace(linear_matrix(f), ctx._bops)))
+    return Subspace.from_vectors(ctx, linalg.solve(linear_matrix(f), ctx.zero, ctx._bops)[1])
 
 
 def solve_affine(f: TwistedPoly, c: FieldElem) -> list:
     """All mu in the ambient with f(mu) = c, in canonical order."""
     ctx = f.ctx
-    rows = linear_matrix(f)
-    part = linalg.solve(rows, tuple(c), ctx._bops)
-    if part is None:
+    sol = linalg.solve(linear_matrix(f), c, ctx._bops)
+    if sol is None:
         return []
-    ker = ctx.span_elements(linalg.nullspace(rows, ctx._bops))
-    sols = [ctx.add(part, k) for k in ker]
+    part, ker = sol
+    sols = [ctx.add(part, k) for k in ctx.span_elements(ker)]
     sols.sort(key=ctx.to_int)
     return sols
 

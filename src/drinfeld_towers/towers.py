@@ -19,12 +19,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInSubfield, NotOnCurve, NotPrime, SizeCapExceeded, ZeroDenominator, ZeroPoint
+from .errors import NotInSubfield, NotOnCurve, NotPrime, ZeroDenominator, ZeroPoint
 from .field import FieldCtx, FieldElem, is_prime
 from .isogeny import TowerParams, q_poly
 from .ore import TwistedPoly, solve_affine
-
-ENUMERATION_CAP = 2**16
 
 
 def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> FieldElem:
@@ -178,8 +176,6 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "H" and n < 2:
         raise ValueError("H-variant needs n >= 2")
-    if params.q**params.m > ENUMERATION_CAP:
-        raise SizeCapExceeded(f"q^m = {params.q}^{params.m} exceeds enumeration cap")
     ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
     frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
@@ -249,8 +245,6 @@ def ssing_u_set(params: TowerParams, n: int) -> set:
     """{(u_2,...,u_n) in (F_{q^m}^*)^{n-1} : tr_m(u_i) = a + b for all i}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if params.q**params.m > ENUMERATION_CAP:
-        raise SizeCapExceeded("q^m exceeds enumeration cap")
     ctx = params.field(params.m)
     target = ctx.scalar(params.a + params.b)
     good = [

@@ -4,6 +4,7 @@ Every check is exact (field arithmetic has no rounding); the only tolerances
 are the wall-clock budgets, asserted per criterion.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -32,6 +33,9 @@ from drinfeld_towers.towers import (
     rsu,
     ssing_u_set,
 )
+
+# stdout of `verify --suite all` at the default grid and size cap
+VERIFY_ALL_SHA256 = "243ad4151bca87d981f7e59c718e6b3294a218b3a7890f3010a5bc6f6c603daa"
 
 GRID5 = (
     TowerParams(2, 1, 2, 1),
@@ -244,15 +248,18 @@ def test_criterion_11_exact_bound_values():
         assert ihara_bound(2, 2) == Fraction(21, 5)
 
 
-def test_criterion_12_report_determinism(capsys):
+def test_criterion_12_report_determinism(capsys, monkeypatch):
     with _Budget("criterion 12: byte-identical reports across runs", 300):
         from drinfeld_towers.cli import main
 
+        # the report echoes the size cap, so the pinned digest needs the default
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
         outputs = []
         for _ in range(2):
             code = main(["verify", "--suite", "all"])
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0].encode()).hexdigest() == VERIFY_ALL_SHA256
         report = json.loads(outputs[0])["report"]
         assert sum(len(e["failures"]) for e in report) == 0

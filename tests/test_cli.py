@@ -175,6 +175,11 @@ class TestVerifyCommand:
         code, _ = run(capsys, "verify", "--suite", "lemma1_6", "--p", "2")
         assert code == 2
 
+    def test_enumeration_cap_is_resource_limit(self, capsys):
+        # the ambient F_{2^18} is under the size cap but too large to list
+        code, out = run(capsys, "verify", "--suite", "lemma1_6", "--p", "2", "--m", "9", "--j", "1")
+        assert code == 3 and out == ""
+
     def test_roundtrip_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "roundtrip")
         doc = json.loads(out)

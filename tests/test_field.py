@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from drinfeld_towers import field
+from drinfeld_towers import field, linalg
 from drinfeld_towers.errors import (
     DegreeNotDividing,
     DivisionByZero,
@@ -54,6 +54,11 @@ class TestConstruction:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             make_field(2, 1, 64)
+
+    def test_enumeration_cap(self):
+        # F_{2^17} is under the size cap but too large to list
+        with pytest.raises(SizeCapExceeded):
+            make_field(2, 1, 17).all_elements()
 
     def test_determinism_of_independent_builds(self):
         a = FieldCtx(3, 2, 3)
@@ -460,6 +465,14 @@ class TestTraceAndSubfields:
         ctx = make_field(2, 1, 4)
         assert len(ctx.subfield_elements(2)) == 4
         assert ctx.subfield_elements(4) == ctx.all_elements()
+
+    def test_subfield_elements_one_elimination(self, monkeypatch):
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+        ctx = FieldCtx(2, 1, 6)
+        assert len(ctx.subfield_elements(3)) == 8
+        assert len(calls) == 1
 
 
 class TestTextForm:

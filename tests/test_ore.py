@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld_towers import linalg
 from drinfeld_towers.errors import ContextMismatch, SizeCapExceeded
 from drinfeld_towers.field import make_field
 from drinfeld_towers.ore import (
@@ -189,6 +190,16 @@ class TestKernels:
         ker = kernel(TwistedPoly.zero(F9))
         assert ker.dim == 2
         assert ker.elements() == F9.all_elements()
+
+    def test_solve_affine_one_elimination(self, monkeypatch):
+        f = ore_add(TwistedPoly.tau(F9), -TwistedPoly.one(F9))
+        mu = F9.from_int(5)
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+        sols = solve_affine(f, evaluate(f, mu))
+        assert len(calls) == 1
+        assert len(sols) == 3 and mu in sols
 
     def test_solve_affine_zero_map(self):
         zero = TwistedPoly.zero(F9)
