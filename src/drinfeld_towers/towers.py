@@ -2,15 +2,13 @@
 
 Variant F is the recursion tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1 = 0, variant
 G its (q-1)-power pushforward, and variant H the quotient recursion in the
-u-coordinates.  Rational points live in F_{q^m}^*.  F- and H-successors are
-the solutions of an affine F_q-linear equation: Q_x(y) = x for F
-(`fiber_solutions`), the cross-multiplied recursion in v for H.  Only
-G-successors are found by scanning every element with `eval_G`, whose powers
-z^{N_l} are cached per element (N_{l+1} = q N_l + 1, so each power is a
-Frobenius step and a multiply).  All come out in canonical element order, so
-output is deterministic, and `TowerPoint` checks F- and H-pairs against the
-same cached successors.  Every q-power x^{q^i} is taken through the Frobenius
-linear map.
+u-coordinates.  Rational points live in F_{q^m}^*.  Every successor set is
+the solution set of one affine F_q-linear equation: Q_x(y) = x for F
+(`fiber_solutions`), L_X(s) = 1 with Y = X s^{q-1} for G, and the
+cross-multiplied recursion in v for H.  All come out in canonical element
+order, so output is deterministic, and `TowerPoint` checks every pair
+against the same cached successors.  Every q-power x^{q^i} is taken through
+the Frobenius linear map.
 """
 
 from __future__ import annotations
@@ -19,10 +17,12 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInSubfield, NotOnCurve, NotPrime, ZeroDenominator, ZeroPoint
+from .errors import NotInSubfield, NotOnCurve, NotPrime, SizeCapExceeded, ZeroDenominator, ZeroPoint
 from .field import FieldCtx, FieldElem, is_prime
 from .isogeny import TowerParams, q_poly
 from .ore import TwistedPoly, solve_affine
+
+POINTS_CAP = 2**18  # most chains `enumerate_rational` builds on one level
 
 
 def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> FieldElem:
@@ -36,27 +36,17 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     return ctx.sub(ctx.add(t1, t2), ctx.one)
 
 
-@functools.cache
-def _n_powers(ctx: FieldCtx, z: FieldElem, m: int) -> tuple:
-    """(z^{N_0}, ..., z^{N_{m-1}}); N_0 = 0 and N_{l+1} = q N_l + 1."""
-    pows = [ctx.one]
-    for _ in range(m - 1):
-        pows.append(ctx.mul(ctx.frobenius(pows[-1]), z))
-    return tuple(pows)
-
-
 def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> FieldElem:
     """Y * (sum of Y^{N_i}/X^{N_*} terms)^{q-1} - X with N_l = (q^l-1)/(q-1)."""
     if X == ctx.zero:
         raise ZeroDenominator("X = 0 in the G-recursion")
-    j, k = params.j, params.k
-    x_pows = _n_powers(ctx, ctx.inv(X), params.m)
-    y_pows = _n_powers(ctx, Y, params.m)
+    q, j, k = ctx.q, params.j, params.k
+    N = lambda l: (q**l - 1) // (q - 1)
     acc = ctx.zero
     for i in range(params.m):
-        x_pow = x_pows[k + i] if i < j else x_pows[i - j]
-        acc = ctx.add(acc, ctx.mul(y_pows[i], x_pow))
-    return ctx.sub(ctx.mul(Y, ctx.pow(acc, ctx.q - 1)), X)
+        l = k + i if i < j else i - j
+        acc = ctx.add(acc, ctx.mul(ctx.pow(Y, N(i)), ctx.pow(X, -N(l))))
+    return ctx.sub(ctx.mul(Y, ctx.pow(acc, q - 1)), X)
 
 
 def _h_denominators(params: TowerParams, ctx: FieldCtx, u: FieldElem):
@@ -91,7 +81,7 @@ def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem)
 @dataclass(frozen=True)
 class TowerPoint:
     """A coordinate tuple on one tower level, validated at construction:
-    each F- or H-pair (x, y) by y in `_level_candidates(x)`, each G-pair by `eval_G`."""
+    each consecutive pair (x, y) by y in `_level_candidates(x)`."""
 
     variant: str  # "F", "G", or "H"
     params: TowerParams
@@ -105,11 +95,7 @@ class TowerPoint:
         if any(x == ctx.zero for x in self.coords):
             raise ZeroPoint("tower coordinates must be nonzero")
         pairs = zip(self.coords, self.coords[1:])
-        if self.variant == "G":
-            bad = any(eval_G(pr, ctx, x, y) != ctx.zero for x, y in pairs)
-        else:
-            bad = any(y not in _level_candidates(pr, ctx, self.variant, x) for x, y in pairs)
-        if bad:
+        if any(y not in _level_candidates(pr, ctx, self.variant, x) for x, y in pairs):
             raise NotOnCurve(f"coordinates violate the {self.variant}-recursion")
 
     def to_json_dict(self) -> dict:
@@ -144,23 +130,30 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
 def _level_candidates(params, ctx, variant, prev) -> tuple:
     """The nonzero successors of coordinate `prev`: the tower's successor relation.
 
-    Enumeration extends chains by these, and `TowerPoint` checks F- and H-pairs
-    by membership in them.  F(x, y) = 0 iff Q_x(y) = x, so F-successors come
-    from the fiber solve; Q_x(0) = 0 != x keeps zero out.  Cross-multiplied,
-    H(u, v) = 0 reads den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1,
-    which is affine in v; a degenerate denominator has no successors.  G has
-    no such solve (it has more rational points than the image of the
-    F-points), so G scans every nonzero y with `eval_G`.
+    Enumeration extends chains by these, and `TowerPoint` checks pairs by
+    membership in them.  Each is one affine solve.  F(x, y) = 0 iff
+    Q_x(y) = x; Q_x(0) = 0 != x keeps zero out.  With N_l = (q^l-1)/(q-1),
+    a = X^{-N_k} and b = X^{N_j}, G(X, Y) = 0 iff Y = X s^{q-1} for some s
+    with L_X(s) = tr_j(a s) + tr_k(b s^{q^j}) = 1; s is fixed up to F_q^*,
+    which scales L_X(s), so s -> X s^{q-1} maps the solutions one-to-one onto
+    the successors.  Cross-multiplied, H(u, v) = 0 reads
+    den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is affine in v;
+    a degenerate denominator has no successors.
     """
     if variant == "F":
         return tuple(fiber_solutions(params, ctx, prev))
+    j, k = params.j, params.k
     if variant == "G":
-        scan = (y for y in ctx.all_elements() if y != ctx.zero)
-        return tuple(y for y in scan if eval_G(params, ctx, prev, y) == ctx.zero)
+        q = ctx.q
+        a = ctx.pow(prev, -((q**k - 1) // (q - 1)))
+        b = ctx.pow(prev, (q**j - 1) // (q - 1))
+        coeffs = [ctx.frobenius(a, i) for i in range(j)] + [ctx.frobenius(b, i) for i in range(k)]
+        sols = solve_affine(TwistedPoly(ctx, coeffs), ctx.one)
+        return tuple(sorted((ctx.mul(prev, ctx.pow(s, q - 1)) for s in sols), key=ctx.to_int))
     den1, den2 = _h_denominators(params, ctx, prev)
     if den1 == ctx.zero or den2 == ctx.zero:
         return ()
-    f = TwistedPoly(ctx, [den2] * params.j + [ctx.neg(den1)] * params.k)
+    f = TwistedPoly(ctx, [den2] * j + [ctx.neg(den1)] * k)
     a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
     c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
     return tuple(v for v in solve_affine(f, c) if v != ctx.zero)
@@ -170,7 +163,8 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
     """All level-n points with coordinates in F_{q^m}^*, canonical order.
 
     Variant F/G points have n coordinates; variant H points have n-1
-    (u_2, ..., u_n) and require n >= 2.
+    (u_2, ..., u_n) and require n >= 2.  Raises SizeCapExceeded before
+    building a level of more than POINTS_CAP chains.
     """
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -180,9 +174,11 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
     length = n if variant != "H" else n - 1
     frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
     for _ in range(length - 1):
-        frontier = [
-            t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1])
-        ]
+        succs = [_level_candidates(params, ctx, variant, t[-1]) for t in frontier]
+        size = sum(map(len, succs))
+        if size > POINTS_CAP:
+            raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
+        frontier = [t + (y,) for t, ys in zip(frontier, succs) for y in ys]
     return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
 
 

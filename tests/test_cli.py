@@ -108,6 +108,11 @@ class TestOtherCommands:
         rec = json.loads(out)
         assert code == 0 and rec["enumerated"] == rec["formula"] == 12
 
+    def test_deep_listing_is_resource_limit(self, capsys):
+        # level 18 would hold 3 * 2^17 chains, over the per-level point cap
+        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "22")
+        assert code == 3 and out == ""
+
     def test_ss_count_rejects_level_zero(self, capsys):
         code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "0")
         assert code == 2 and out == ""

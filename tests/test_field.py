@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from drinfeld_towers import field, linalg
+from drinfeld_towers import field, linalg, towers
 from drinfeld_towers.errors import (
     DegreeNotDividing,
     DivisionByZero,
@@ -21,6 +22,9 @@ from drinfeld_towers.field import (
     poly_mod,
     poly_mul,
 )
+from drinfeld_towers.isogeny import TowerParams
+from drinfeld_towers.towers import enumerate_rational
+from drinfeld_towers.verify import run_suite
 
 
 @pytest.fixture
@@ -417,6 +421,33 @@ class TestLogTables:
 
     def test_no_tables_above_cap(self):
         assert make_field(2, 1, 11)._log is None
+
+    def test_tables_leave_reports_unchanged(self, monkeypatch):
+        # oracle for the table path: with no field tabled, a verify report
+        # and G/H point listings are byte-identical to the default run
+        def clear_caches():
+            field._make_field_cached.cache_clear()
+            field._embed_cache.clear()
+            towers._level_candidates.cache_clear()
+
+        def outputs():
+            report = json.dumps(run_suite("all", grid), sort_keys=True)
+            params = TowerParams(3, 1, 2, 1)
+            points = [
+                json.dumps([pt.to_json_dict() for pt in enumerate_rational(params, 3, v)])
+                for v in ("G", "H")
+            ]
+            return report, points
+
+        grid = ((2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 2), (2, 2, 2, 1))
+        clear_caches()
+        try:
+            default = outputs()
+            clear_caches()
+            monkeypatch.setattr(field, "LOG_CAP", 0)
+            assert outputs() == default
+        finally:
+            clear_caches()
 
 
 class TestTraceAndSubfields:

@@ -8,16 +8,15 @@ from drinfeld_towers.errors import (
     NotInSubfield,
     NotOnCurve,
     NotPrime,
+    SizeCapExceeded,
     ZeroDenominator,
     ZeroPoint,
 )
-from drinfeld_towers.field import make_field
 from drinfeld_towers.isogeny import TowerParams, q_poly
 from drinfeld_towers.ore import evaluate
 from drinfeld_towers.towers import (
     TowerPoint,
     _h_denominators,
-    _n_powers,
     count_supersingular,
     enumerate_rational,
     eval_F,
@@ -35,19 +34,11 @@ P221 = TowerParams(2, 1, 2, 1)
 P232 = TowerParams(2, 1, 3, 2)
 P321 = TowerParams(3, 1, 2, 1)
 P2232 = TowerParams(2, 2, 3, 2)
+P331 = TowerParams(3, 1, 3, 1)
+P2152 = TowerParams(2, 1, 5, 2)
+P531 = TowerParams(5, 1, 3, 1)
 F4 = P221.field(2)
 W = F4.from_int(2)
-
-
-def g_by_pow(params, ctx, X, Y):
-    """The G-recursion with every power taken by square-and-multiply."""
-    q, m, j, k = ctx.q, params.m, params.j, params.k
-    N = lambda l: (q**l - 1) // (q - 1)
-    acc = ctx.zero
-    for i in range(m):
-        l = k + i if i < j else i - j
-        acc = ctx.add(acc, ctx.mul(ctx.pow(Y, N(i)), ctx.pow(X, -N(l))))
-    return ctx.sub(ctx.mul(Y, ctx.pow(acc, q - 1)), X)
 
 
 class TestEvalF:
@@ -101,23 +92,6 @@ class TestEvalG:
     def test_zero_x_rejected(self):
         with pytest.raises(ZeroDenominator):
             eval_G(P221, F4, F4.zero, W)
-
-    @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (2, 2, 3)], ids=["F9", "F64"])
-    def test_n_powers_match_pow(self, p, e, d):
-        ctx = make_field(p, e, d)
-        q = ctx.q
-        for z in ctx.all_elements():
-            pows = _n_powers(ctx, z, 4)
-            assert pows == tuple(ctx.pow(z, (q**l - 1) // (q - 1)) for l in range(4))
-
-    @pytest.mark.parametrize("params", [P221, P321, P232])
-    def test_matches_pow_formula(self, params):
-        ctx = params.field(params.m)
-        for X in ctx.all_elements():
-            if X == ctx.zero:
-                continue
-            for Y in ctx.all_elements():
-                assert eval_G(params, ctx, X, Y) == g_by_pow(params, ctx, X, Y)
 
 
 class TestEvalH:
@@ -194,13 +168,13 @@ class TestEnumeration:
         "params,variant",
         [
             (P221, "F"), (P321, "F"), (P221, "H"), (P321, "H"), (P2232, "H"),
-            (P221, "G"), (P321, "G"), (P2232, "G"),
+            (P221, "G"), (P321, "G"), (P2232, "G"), (P331, "G"), (P2152, "G"),
         ],
     )
     def test_enumeration_matches_brute_scan(self, params, variant):
         # oracle: extend each chain by every nonzero y the recursion accepts;
-        # an H-chain stops at a u whose denominators vanish; G is checked
-        # against the square-and-multiply formula, not eval_G
+        # an H-chain stops at a u whose denominators vanish.  (3,1,3,1) and
+        # (2,1,5,2) have k > 1, so G's solve uses b^{q^i} past i = 0
         ctx = params.field(params.m)
         nonzero = [y for y in ctx.all_elements() if y != ctx.zero]
 
@@ -209,7 +183,7 @@ class TestEnumeration:
             if variant == "F":
                 return [y for y in nonzero if eval_F(params, ctx, x, y) == ctx.zero]
             if variant == "G":
-                return [y for y in nonzero if g_by_pow(params, ctx, x, y) == ctx.zero]
+                return [y for y in nonzero if eval_G(params, ctx, x, y) == ctx.zero]
             if ctx.zero in _h_denominators(params, ctx, x):
                 return []
             return [y for y in nonzero if eval_H_cross(params, ctx, x, y) == ctx.zero]
@@ -220,27 +194,23 @@ class TestEnumeration:
         pts = enumerate_rational(params, 3, variant)
         assert [p.coords for p in pts] == chains
 
-    def test_g_scan_inverts_each_element_once(self):
-        # X^{-1} is taken once per scanned coordinate, and its N-powers are
-        # shared with the Y^{N_i} of the same element
-        ctx = P321.field(P321.m)
-        towers._level_candidates.cache_clear()
-        towers._n_powers.cache_clear()
-        ctx.inv.cache_clear()
-        assert enumerate_rational(P321, 2, "G")
-        units = P321.q**P321.m - 1
-        assert ctx.inv.cache_info().misses <= units
-        assert towers._n_powers.cache_info().misses <= units
-
     def test_enumeration_does_not_reevaluate(self, monkeypatch):
-        # enumerated F- and H-points pass validation by membership alone
+        # enumerated points pass validation by membership alone
         def fail(*args):
             raise AssertionError("recursion re-evaluated")
 
         monkeypatch.setattr(towers, "eval_F", fail)
+        monkeypatch.setattr(towers, "eval_G", fail)
         monkeypatch.setattr(towers, "eval_H_cross", fail)
         assert len(enumerate_rational(P232, 5, "F")) == 1792
         assert len(enumerate_rational(P321, 3, "H")) == 13
+        assert len(enumerate_rational(P531, 2, "G")) == 837
+
+    def test_points_cap_checked_before_building_a_level(self, monkeypatch):
+        monkeypatch.setattr(towers, "POINTS_CAP", 100)
+        assert len(enumerate_rational(P221, 6, "F")) == 96
+        with pytest.raises(SizeCapExceeded):
+            enumerate_rational(P221, 7, "F")
 
     @pytest.mark.parametrize("params,deg", [(P221, 4), (P2232, 3)], ids=["F16", "F64"])
     def test_validation_matches_recursion(self, params, deg):
@@ -260,6 +230,7 @@ class TestEnumeration:
             h_ok = ctx.zero not in _h_denominators(params, ctx, x)
             for y in nonzero:
                 assert accepted("F", x, y) == (eval_F(params, ctx, x, y) == ctx.zero)
+                assert accepted("G", x, y) == (eval_G(params, ctx, x, y) == ctx.zero)
                 on_h = h_ok and eval_H_cross(params, ctx, x, y) == ctx.zero
                 assert accepted("H", x, y) == on_h
 
