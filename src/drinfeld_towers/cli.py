@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
 from .field import size_cap
 from .isogeny import TowerParams
-from .towers import enumerate_rational, fiber_solutions, ihara_bound
+from .towers import count_supersingular, enumerate_rational, fiber_solutions, ihara_bound
 from .verify import DEFAULT_GRID, SUITES, run_suite, total_failures
 
 EXIT_OK = 0
@@ -91,9 +92,14 @@ def cmd_fibers(cfg: RunConfig, out) -> int:
 
 
 def cmd_ss_count(cfg: RunConfig, out) -> int:
-    from .towers import count_supersingular
-
     params = _params(cfg)
+    # the record holds the formula (q^m-1) q^{(m-1)(n-1)}; past the interpreter's
+    # int-to-decimal limit it cannot be printed, so stop before walking that deep
+    # (the factor q^m-1 >= 3 outweighs any rounding in the estimate)
+    limit = sys.get_int_max_str_digits()
+    too_long = f"the level-{cfg.n} count has more than {limit} decimal digits"
+    if limit and (params.m - 1) * (cfg.n - 1) * math.log10(params.q) >= limit:
+        raise SizeCapExceeded(too_long)
     count, formula = count_supersingular(params, cfg.n)
     record = {
         "config": cfg.to_dict(),
@@ -101,7 +107,11 @@ def cmd_ss_count(cfg: RunConfig, out) -> int:
         "formula": formula,
         "match": count == formula,
     }
-    print(json.dumps(record, sort_keys=True), file=out)
+    try:
+        text = json.dumps(record, sort_keys=True)
+    except ValueError:  # an int past the same limit
+        raise SizeCapExceeded(too_long) from None
+    print(text, file=out)
     return EXIT_OK if count == formula else EXIT_FAILURE
 
 

@@ -292,6 +292,7 @@ class FieldCtx:
         self.zero: FieldElem = (0,) * d
         self.one: FieldElem = tuple([1] + [0] * (d - 1))
         self.inv = functools.cache(self.inv)  # one extended Euclid per element
+        self.format_elem = functools.cache(self.format_elem)  # one digit string per element
         # y^{d+i} reduced mod ext_modulus, for multiplication reduction
         self._high_pows = [
             self._pad(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))

@@ -53,6 +53,11 @@ class TowerParams:
             a += 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", (a * k - 1) // self.j)
+        # hashed once: every cached successor lookup hashes its params
+        object.__setattr__(self, "_hash", hash((self.p, self.e, self.m, self.j)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> int:

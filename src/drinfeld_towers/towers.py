@@ -5,15 +5,20 @@ G its (q-1)-power pushforward, and variant H the quotient recursion in the
 u-coordinates.  Rational points live in F_{q^m}^*.  Every successor set is
 the solution set of one affine F_q-linear equation: Q_x(y) = x for F
 (`fiber_solutions`), L_X(s) = 1 with Y = X s^{q-1} for G, and the
-cross-multiplied recursion in v for H.  All come out in canonical element
-order, so output is deterministic, and `TowerPoint` checks every pair
-against the same cached successors.  Every q-power x^{q^i} is taken through
-the Frobenius linear map.
+cross-multiplied recursion in v for H.  Over F_{q^m} itself, x^{q^m} = x
+turns the F and G equations into one of at most q - 1 cached trace
+hyperplanes (`_trace_hyperplane`), so rational successors cost no solve per
+point.  All come out in canonical element order, so output is
+deterministic, and `TowerPoint` checks every pair against the same cached
+successors.  Point counts are walks on that successor graph
+(`_chain_counts`), so counting lists no point.  Every q-power x^{q^i} is
+taken through the Frobenius linear map.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,17 +117,37 @@ class TowerPoint:
         }
 
     def is_supersingular(self) -> bool:
-        """For F-variant points: head coordinate in F_{q^m}^* (all rational points qualify)."""
+        """Every coordinate lies in F_{q^m}^*, whatever the variant; so does every rational point."""
         m = self.params.m
+        if self.ctx.d == m:
+            return True
         if self.ctx.d % m != 0:
             return False
         return all(self.ctx.in_subfield(x, m) for x in self.coords)
 
 
+@functools.cache
+def _trace_hyperplane(ctx: FieldCtx, j: int, c: FieldElem) -> tuple:
+    """All t in ctx = F_{q^m} with sum_{i<j} t^{q^i} + c sum_{j<=i<m} t^{q^i} = 1, for c in F_q^*."""
+    f = TwistedPoly(ctx, [ctx.one] * j + [c] * (ctx.d - j))
+    return tuple(solve_affine(f, ctx.one))
+
+
+def _twisted(ctx: FieldCtx, x: FieldElem, k: int, ts) -> list:
+    """x^{q^k} t for each t, in canonical order."""
+    xk = ctx.frobenius(x, k)
+    return sorted((ctx.mul(xk, t) for t in ts), key=ctx.to_int)
+
+
 def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
-    """All y in the ambient with Q_x(y) = x; q^{m-1} of them once split."""
+    """All y in the ambient with Q_x(y) = x; q^{m-1} of them once split.
+
+    Over F_{q^m}, x^{q^m} = x, so y = x^{q^k} t solves it iff tr_m(t) = 1.
+    """
     if x == ctx.zero:
         raise ZeroPoint("fiber over x = 0 is undefined")
+    if ctx.d == params.m:
+        return _twisted(ctx, x, params.k, _trace_hyperplane(ctx, params.j, ctx.one))
     return solve_affine(q_poly(params, ctx, x), x)
 
 
@@ -130,21 +155,27 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
 def _level_candidates(params, ctx, variant, prev) -> tuple:
     """The nonzero successors of coordinate `prev`: the tower's successor relation.
 
-    Enumeration extends chains by these, and `TowerPoint` checks pairs by
-    membership in them.  Each is one affine solve.  F(x, y) = 0 iff
+    Enumeration extends chains by these, walks count chains along them, and
+    `TowerPoint` checks pairs by membership in them.  F(x, y) = 0 iff
     Q_x(y) = x; Q_x(0) = 0 != x keeps zero out.  With N_l = (q^l-1)/(q-1),
     a = X^{-N_k} and b = X^{N_j}, G(X, Y) = 0 iff Y = X s^{q-1} for some s
     with L_X(s) = tr_j(a s) + tr_k(b s^{q^j}) = 1; s is fixed up to F_q^*,
     which scales L_X(s), so s -> X s^{q-1} maps the solutions one-to-one onto
-    the successors.  Cross-multiplied, H(u, v) = 0 reads
-    den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is affine in v;
-    a degenerate denominator has no successors.
+    the successors.  Over F_{q^m}, t = a s turns L_X(s) = 1 into the trace
+    hyperplane with c = X^{N_m} in F_q^*, and Y = X^{q^k} t^{q-1}; F uses
+    c = 1, so neither solves per point there.  Cross-multiplied, H(u, v) = 0
+    reads den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is
+    affine in v (one solve each); a degenerate denominator has no successors.
     """
     if variant == "F":
         return tuple(fiber_solutions(params, ctx, prev))
     j, k = params.j, params.k
     if variant == "G":
         q = ctx.q
+        if ctx.d == params.m:
+            c = ctx.pow(prev, (q**params.m - 1) // (q - 1))
+            ts = _trace_hyperplane(ctx, j, c)
+            return tuple(_twisted(ctx, prev, k, (ctx.pow(t, q - 1) for t in ts)))
         a = ctx.pow(prev, -((q**k - 1) // (q - 1)))
         b = ctx.pow(prev, (q**j - 1) // (q - 1))
         coeffs = [ctx.frobenius(a, i) for i in range(j)] + [ctx.frobenius(b, i) for i in range(k)]
@@ -164,29 +195,49 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
 
     Variant F/G points have n coordinates; variant H points have n-1
     (u_2, ..., u_n) and require n >= 2.  Raises SizeCapExceeded before
-    building a level of more than POINTS_CAP chains.
+    building anything if a walk counts more than POINTS_CAP chains on a level.
     """
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     if variant == "H" and n < 2:
         raise ValueError("H-variant needs n >= 2")
     ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
-    frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
-    for _ in range(length - 1):
-        succs = [_level_candidates(params, ctx, variant, t[-1]) for t in frontier]
-        size = sum(map(len, succs))
+    for size in itertools.islice(_chain_counts(params, ctx, variant), length):
         if size > POINTS_CAP:
             raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
-        frontier = [t + (y,) for t, ys in zip(frontier, succs) for y in ys]
+    frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
+    for _ in range(length - 1):
+        frontier = [t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1])]
     return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
 
 
+def _chain_counts(params: TowerParams, ctx: FieldCtx, variant: str):
+    """Yield the number of chains of 1, 2, ... nonzero coordinates in ctx.
+
+    ways_1(x) = 1 and ways_{l+1}(x) = sum of ways_l(y) over the successors y
+    of x count the chains of l coordinates that start at x, with no chain
+    built.
+    """
+    nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
+    ways = dict.fromkeys(nonzero, 1)
+    while True:
+        yield sum(ways.values())
+        ways = {
+            x: sum(ways[y] for y in _level_candidates(params, ctx, variant, x)) for x in nonzero
+        }
+
+
 def count_supersingular(params: TowerParams, n: int) -> tuple:
-    """(enumerated F-variant rational count, (q^m-1) q^{(m-1)(n-1)})."""
-    pts = enumerate_rational(params, n, "F")
+    """(walked F-variant rational count, (q^m-1) q^{(m-1)(n-1)})."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    walk = _chain_counts(params, params.field(params.m), "F")
+    count = next(itertools.islice(walk, n - 1, None))
     formula = (params.q**params.m - 1) * params.q ** ((params.m - 1) * (n - 1))
-    return len(pts), formula
+    return count, formula
 
 
 @dataclass(frozen=True)
@@ -248,8 +299,6 @@ def ssing_u_set(params: TowerParams, n: int) -> set:
         for u in ctx.all_elements()
         if u != ctx.zero and ctx.trace_partial(u, params.m) == target
     ]
-    import itertools
-
     return set(itertools.product(good, repeat=n - 1))
 
 

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -14,6 +16,8 @@ from drinfeld_towers.field import is_prime
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint
 from drinfeld_towers.verify import SUITES
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -110,8 +114,37 @@ class TestOtherCommands:
 
     def test_deep_listing_is_resource_limit(self, capsys):
         # level 18 would hold 3 * 2^17 chains, over the per-level point cap
-        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "22")
+        code, out = run(
+            capsys, "points", "--p", "2", "--m", "2", "--j", "1", "--n", "22", "--variant", "F"
+        )
         assert code == 3 and out == ""
+
+    def test_deep_ss_count_walks_past_the_point_cap(self, capsys):
+        # counting lists no point, so 3 * 2^21 chains need no cap
+        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "22")
+        rec = json.loads(out)
+        assert code == 0 and rec["enumerated"] == rec["formula"] == 6_291_456
+
+    @pytest.mark.parametrize("n", ["14284", "20000", "1000000000"])
+    def test_unprintable_count_is_resource_limit(self, capsys, n):
+        # 3 * 2^(n-1) has more than 4,300 decimal digits from n = 14,284 on:
+        # n = 14,284 passes the digit estimate and stops at serialization
+        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", n)
+        assert code == 3 and out == ""
+
+    def test_deepest_printable_count(self, capsys):
+        code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "14283")
+        rec = json.loads(out)
+        assert code == 0 and rec["enumerated"] == rec["formula"] == 3 * 2**14282
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld_towers", "bound", "--p", "2", "--m", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "21/5\n"
 
     def test_ss_count_rejects_level_zero(self, capsys):
         code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "0")

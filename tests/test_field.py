@@ -429,6 +429,7 @@ class TestLogTables:
             field._make_field_cached.cache_clear()
             field._embed_cache.clear()
             towers._level_candidates.cache_clear()
+            towers._trace_hyperplane.cache_clear()
 
         def outputs():
             report = json.dumps(run_suite("all", grid), sort_keys=True)

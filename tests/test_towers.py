@@ -13,7 +13,7 @@ from drinfeld_towers.errors import (
     ZeroPoint,
 )
 from drinfeld_towers.isogeny import TowerParams, q_poly
-from drinfeld_towers.ore import evaluate
+from drinfeld_towers.ore import TwistedPoly, evaluate, solve_affine
 from drinfeld_towers.towers import (
     TowerPoint,
     _h_denominators,
@@ -149,6 +149,45 @@ class TestFibers:
                 )
 
 
+def _g_solve(params, ctx, X):
+    """G-successors of X from the solve of L_X(s) = 1, as for any ambient."""
+    q, j, k = ctx.q, params.j, params.k
+    a = ctx.pow(X, -((q**k - 1) // (q - 1)))
+    b = ctx.pow(X, (q**j - 1) // (q - 1))
+    coeffs = [ctx.frobenius(a, i) for i in range(j)] + [ctx.frobenius(b, i) for i in range(k)]
+    sols = solve_affine(TwistedPoly(ctx, coeffs), ctx.one)
+    return sorted((ctx.mul(X, ctx.pow(s, q - 1)) for s in sols), key=ctx.to_int)
+
+
+class TestTraceHyperplane:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            TowerParams(2, 1, 3, 1), P2152, P2232, TowerParams(3, 2, 2, 1),
+            TowerParams(3, 1, 4, 1), P531, TowerParams(2, 1, 7, 3),
+        ],
+        ids=["2131", "2152", "2232", "3221", "3141", "5131", "2173"],
+    )
+    def test_successors_match_per_point_solves(self, params):
+        # oracle: over F_{q^m} the cached hyperplanes give exactly the
+        # successors that one affine solve per point gives
+        ctx = params.field(params.m)
+        for x in ctx.all_elements():
+            if x == ctx.zero:
+                continue
+            f_sols = solve_affine(q_poly(params, ctx, x), x)
+            assert fiber_solutions(params, ctx, x) == f_sols
+            assert list(towers._level_candidates(params, ctx, "F", x)) == f_sols
+            assert list(towers._level_candidates(params, ctx, "G", x)) == _g_solve(params, ctx, x)
+
+    def test_g_solves_once_per_norm(self):
+        # c = X^{(q^m-1)/(q-1)} is the norm of X to F_q^*, so all 124 X share 4 solves
+        towers._level_candidates.cache_clear()
+        towers._trace_hyperplane.cache_clear()
+        enumerate_rational(P531, 2, "G")
+        assert towers._trace_hyperplane.cache_info().currsize == P531.q - 1
+
+
 class TestEnumeration:
     def test_level_one_counts(self):
         assert len(enumerate_rational(P221, 1, "F")) == 3
@@ -238,6 +277,51 @@ class TestEnumeration:
         assert count_supersingular(P221, 2) == (6, 6)
         assert count_supersingular(P221, 3) == (12, 12)
         assert count_supersingular(P321, 2) == (24, 24)
+
+    @pytest.mark.parametrize(
+        "params,top",
+        [(P232, 5), (TowerParams(3, 1, 3, 2), 4), (P531, 3), (P2232, 2)],
+        ids=["2132", "3132", "5131", "2232"],
+    )
+    def test_walks_match_listing(self, params, top):
+        # oracle: the walked count is the length of the listing it replaces
+        for n in range(1, top + 1):
+            count, formula = count_supersingular(params, n)
+            assert count == formula == len(enumerate_rational(params, n, "F"))
+
+    @pytest.mark.parametrize("params", [P221, P321, P2232, P331], ids=["221", "321", "2232", "331"])
+    def test_chain_counts_every_variant(self, params):
+        ctx = params.field(params.m)
+        for variant in ("F", "G", "H"):
+            walk = towers._chain_counts(params, ctx, variant)
+            sizes = [next(walk) for _ in range(3)]
+            levels = range(1, 4) if variant != "H" else range(2, 5)
+            assert sizes == [len(enumerate_rational(params, n, variant)) for n in levels]
+
+    def test_walk_reaches_deep_levels(self):
+        assert count_supersingular(P531, 12) == (295_639_038_085_937_500,) * 2
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_level_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            count_supersingular(P221, n)
+        for variant in ("F", "G"):
+            with pytest.raises(ValueError, match="n >= 1"):
+                enumerate_rational(P221, n, variant)
+
+    def test_supersingular_flag(self):
+        # every coordinate must lie in F_{q^m}; in F_64 that is F_4
+        ctx = P221.field(6)
+        f4 = ctx.subfield_elements(2)
+        pts = [
+            TowerPoint("F", P221, ctx, (x, y))
+            for x in ctx.all_elements() if x != ctx.zero
+            for y in fiber_solutions(P221, ctx, x)
+        ]
+        flags = [pt.is_supersingular() for pt in pts]
+        assert flags == [set(pt.coords) <= set(f4) for pt in pts]
+        assert True in flags and False in flags
+        assert all(pt.is_supersingular() for pt in enumerate_rational(P221, 3, "G"))
 
     def test_invalid_point_rejected(self):
         with pytest.raises(NotOnCurve):
