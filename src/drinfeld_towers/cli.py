@@ -11,12 +11,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
 from .field import size_cap
 from .isogeny import TowerParams
 from .towers import count_supersingular, enumerate_rational, fiber_solutions, ihara_bound
+from .value import Value
 from .verify import DEFAULT_GRID, SUITES, run_suite, total_failures
 
 EXIT_OK = 0
@@ -25,25 +25,21 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """Everything that determines a run's output."""
 
-    command: str
-    p: int | None = None
-    e: int | None = None
-    m: int | None = None
-    j: int | None = None
-    n: int | None = None
-    variant: str | None = None
-    suite: str | None = None
-    x: str | None = None
-    format: str = "json"
-    size_cap: int = field(default_factory=size_cap)
-    seed: int = 0
+    __slots__ = ("command", "p", "e", "m", "j", "n", "variant", "suite", "x", "format", "size_cap", "seed")
+
+    def __init__(
+        self, command: str, p: int | None = None, e: int | None = None, m: int | None = None,
+        j: int | None = None, n: int | None = None, variant: str | None = None,
+        suite: str | None = None, x: str | None = None, format: str = "json", seed: int = 0,
+    ):
+        # the size cap is the one in force, not a parameter: a report echoes only what was applied
+        self._assign(command, p, e, m, j, n, variant, suite, x, format, size_cap(), seed)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in zip(self.__slots__, self._fields()) if v is not None}
 
 
 def _positive_int(text: str) -> int:

@@ -8,11 +8,11 @@ the two-coefficient family with gcd(j, m - j) = 1 is supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import AmbientTooSmall, BadRankPair, NotCyclic, NotFoundWithinBound, ZeroPoint
-from .field import FieldCtx, FieldElem, _poly_from_index, poly_add, poly_divmod, poly_mul, poly_sub, poly_trim
+from .field import FieldCtx, FieldElem, _poly_from_index, embed, poly_add, poly_divmod, poly_mul, poly_sub, poly_trim
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_add, ore_mul
+from .value import Value
 
 
 class APoly:
@@ -108,20 +108,17 @@ def monic_apolys(ctx: FieldCtx, degree: int):
         yield APoly(ctx, _poly_from_index(idx, degree, ctx.q))
 
 
-@dataclass(frozen=True)
-class DrinfeldModule:
+class DrinfeldModule(Value):
     """The data (m, j, g_j) of phi_T = -tau^m + g_j tau^j + 1."""
 
-    ctx: FieldCtx
-    m: int
-    j: int
-    g_j: FieldElem
+    __slots__ = ("ctx", "m", "j", "g_j")
 
-    def __post_init__(self):
-        if self.m < 2 or not (1 <= self.j < self.m):
-            raise BadRankPair(f"need 2 <= m and 1 <= j < m, got (m, j) = ({self.m}, {self.j})")
-        if math.gcd(self.j, self.m - self.j) != 1:
-            raise BadRankPair(f"gcd(j, m - j) must be 1, got (j, k) = ({self.j}, {self.m - self.j})")
+    def __init__(self, ctx: FieldCtx, m: int, j: int, g_j: FieldElem):
+        if m < 2 or not (1 <= j < m):
+            raise BadRankPair(f"need 2 <= m and 1 <= j < m, got (m, j) = ({m}, {j})")
+        if math.gcd(j, m - j) != 1:
+            raise BadRankPair(f"gcd(j, m - j) must be 1, got (j, k) = ({j}, {m - j})")
+        self._assign(ctx, m, j, g_j)
 
     @property
     def k(self) -> int:
@@ -136,8 +133,6 @@ class DrinfeldModule:
         return TwistedPoly(ctx, coeffs)
 
     def map_to(self, dst: FieldCtx) -> "DrinfeldModule":
-        from .field import embed
-
         return DrinfeldModule(dst, self.m, self.j, embed(self.g_j, self.ctx, dst))
 
     def to_json_dict(self) -> dict:

@@ -285,6 +285,7 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.d = d
+        self._hash = hash((p, e, d))  # every cached successor lookup hashes its field
         self.q = p**e
         self.base_modulus = least_irreducible(e, _BaseOps(p, 1, (0, 1)))
         self._bops = _BaseOps(p, e, self.base_modulus)
@@ -550,7 +551,7 @@ class FieldCtx:
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.d))
+        return self._hash
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, d={self.d})"

@@ -10,9 +10,8 @@ correspondence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
-from .drinfeld import APoly, DrinfeldModule, cyclic_module, module_from_point, phi_a
+from .drinfeld import APoly, DrinfeldModule, cyclic_module, module_from_point, monic_apolys, phi_a
 from .errors import (
     BadRankPair,
     BracketMismatch,
@@ -22,39 +21,28 @@ from .errors import (
     NotPrime,
     ZeroPoint,
 )
-from .field import FieldCtx, FieldElem, is_prime, make_field
+from .field import FieldCtx, FieldElem, embed, is_prime, make_field
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(Value):
     """The numeric data (q = p^e, m = j + k, and a*k - b*j = 1) of one tower."""
 
-    p: int
-    e: int
-    m: int
-    j: int
-    k: int = dc_field(init=False)
-    a: int = dc_field(init=False)
-    b: int = dc_field(init=False)
+    __slots__ = ("p", "e", "m", "j", "k", "a", "b", "_hash")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
-        if self.e < 1:
-            raise ValueError(f"e must be at least 1, got {self.e}")
-        k = self.m - self.j
-        if self.m < 2 or not (1 <= self.j < self.m) or math.gcd(self.j, k) != 1:
-            raise BadRankPair(f"bad (m, j) = ({self.m}, {self.j})")
-        object.__setattr__(self, "k", k)
-        # smallest nonnegative (a, b) with a*k - b*j = 1
-        a = 0
-        while (a * k - 1) % self.j != 0 or a * k - 1 < 0:
-            a += 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", (a * k - 1) // self.j)
+    def __init__(self, p: int, e: int, m: int, j: int):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if e < 1:
+            raise ValueError(f"e must be at least 1, got {e}")
+        k = m - j
+        if m < 2 or not (1 <= j < m) or math.gcd(j, k) != 1:
+            raise BadRankPair(f"bad (m, j) = ({m}, {j})")
+        # smallest nonnegative (a, b) with a*k - b*j = 1: a = k^{-1} mod j, taken in 1..j
+        a = pow(k, -1, j) or j
         # hashed once: every cached successor lookup hashes its params
-        object.__setattr__(self, "_hash", hash((self.p, self.e, self.m, self.j)))
+        self._assign(p, e, m, j, k, a, (a * k - 1) // j, hash((p, e, m, j)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -185,22 +173,20 @@ def bracket_coeffs(phi: DrinfeldModule, params: TowerParams) -> list:
     return level
 
 
-@dataclass(frozen=True)
-class XChain:
+class XChain(Value):
     """Coordinates (x_1, ..., x_n) with Q_{x_i}(x_{i+1}) = x_i, all nonzero."""
 
-    params: TowerParams
-    ctx: FieldCtx
-    coords: tuple
+    __slots__ = ("params", "ctx", "coords")
 
-    def __post_init__(self):
-        if not self.coords:
+    def __init__(self, params: TowerParams, ctx: FieldCtx, coords: tuple):
+        if not coords:
             raise ValueError("chain needs at least one coordinate")
-        for x in self.coords:
-            _require_nonzero(self.ctx, x)
-        for x, y in zip(self.coords, self.coords[1:]):
-            if evaluate(q_poly(self.params, self.ctx, x), y) != x:
+        for x in coords:
+            _require_nonzero(ctx, x)
+        for x, y in zip(coords, coords[1:]):
+            if evaluate(q_poly(params, ctx, x), y) != x:
                 raise ValueError("consecutive coordinates violate Q_x(y) = x")
+        self._assign(params, ctx, coords)
 
     def __len__(self):
         return len(self.coords)
@@ -214,8 +200,6 @@ class XChain:
         return comp
 
     def map_to(self, dst: FieldCtx) -> "XChain":
-        from .field import embed
-
         return XChain(self.params, dst, tuple(embed(x, self.ctx, dst) for x in self.coords))
 
 
@@ -309,8 +293,6 @@ def check_lemma_2_9(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> bool:
         rhs = ctx.mul(ctx.frobenius(mu, params.j), x)
         if lhs != rhs:
             return False
-
-    from .drinfeld import monic_apolys
 
     for deg in range(1, params.k):
         for cand in monic_apolys(ctx, deg):

@@ -9,11 +9,10 @@ closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import ContextMismatch
 from .field import FieldCtx, FieldElem, embed, make_field
+from .value import Value
 
 
 class TwistedPoly:
@@ -167,12 +166,13 @@ def linear_matrix(f: TwistedPoly):
     return tuple(zip(*(evaluate(f, ctx._pad((0,) * t + (1,))) for t in range(ctx.d))))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """F_q-subspace of a FieldCtx, held as a canonical RREF basis."""
 
-    ctx: FieldCtx
-    basis: tuple  # rows are FieldElems in reduced echelon form
+    __slots__ = ("ctx", "basis")
+
+    def __init__(self, ctx: FieldCtx, basis: tuple):
+        self._assign(ctx, basis)  # rows are FieldElems in reduced echelon form
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, vectors) -> "Subspace":

@@ -5,9 +5,9 @@ G its (q-1)-power pushforward, and variant H the quotient recursion in the
 u-coordinates.  Rational points live in F_{q^m}^*.  Every successor set is
 the solution set of one affine F_q-linear equation: Q_x(y) = x for F
 (`fiber_solutions`), L_X(s) = 1 with Y = X s^{q-1} for G, and the
-cross-multiplied recursion in v for H.  Over F_{q^m} itself, x^{q^m} = x
-turns the F and G equations into one of at most q - 1 cached trace
-hyperplanes (`_trace_hyperplane`), so rational successors cost no solve per
+cross-multiplied recursion in v for H.  The F and G equations are one cached
+hyperplane (`_trace_hyperplane`) per value of c = x^{q^m-1} or X^{N_m}; over
+F_{q^m} itself c lies in F_q^*, so rational successors cost no solve per
 point.  All come out in canonical element order, so output is
 deterministic, and `TowerPoint` checks every pair against the same cached
 successors.  Point counts are walks on that successor graph
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotInSubfield, NotOnCurve, NotPrime, SizeCapExceeded, ZeroDenominator, ZeroPoint
 from .field import FieldCtx, FieldElem, is_prime
-from .isogeny import TowerParams, q_poly
+from .isogeny import TowerParams
 from .ore import TwistedPoly, solve_affine
+from .value import Value
 
 POINTS_CAP = 2**18  # most chains `enumerate_rational` builds on one level
 
@@ -83,25 +82,21 @@ def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem)
     return ctx.sub(ctx.mul(num1, den2), ctx.mul(num2, den1))
 
 
-@dataclass(frozen=True)
-class TowerPoint:
+class TowerPoint(Value):
     """A coordinate tuple on one tower level, validated at construction:
     each consecutive pair (x, y) by y in `_level_candidates(x)`."""
 
-    variant: str  # "F", "G", or "H"
-    params: TowerParams
-    ctx: FieldCtx
-    coords: tuple
+    __slots__ = ("variant", "params", "ctx", "coords")
 
-    def __post_init__(self):
-        ctx, pr = self.ctx, self.params
-        if self.variant not in ("F", "G", "H"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if any(x == ctx.zero for x in self.coords):
+    def __init__(self, variant: str, params: TowerParams, ctx: FieldCtx, coords: tuple):
+        if variant not in ("F", "G", "H"):
+            raise ValueError(f"unknown variant {variant!r}")
+        if any(x == ctx.zero for x in coords):
             raise ZeroPoint("tower coordinates must be nonzero")
-        pairs = zip(self.coords, self.coords[1:])
-        if any(y not in _level_candidates(pr, ctx, self.variant, x) for x, y in pairs):
-            raise NotOnCurve(f"coordinates violate the {self.variant}-recursion")
+        pairs = zip(coords, coords[1:])
+        if any(y not in _level_candidates(params, ctx, variant, x) for x, y in pairs):
+            raise NotOnCurve(f"coordinates violate the {variant}-recursion")
+        self._assign(variant, params, ctx, coords)
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,28 +122,28 @@ class TowerPoint:
 
 
 @functools.cache
-def _trace_hyperplane(ctx: FieldCtx, j: int, c: FieldElem) -> tuple:
-    """All t in ctx = F_{q^m} with sum_{i<j} t^{q^i} + c sum_{j<=i<m} t^{q^i} = 1, for c in F_q^*."""
-    f = TwistedPoly(ctx, [ctx.one] * j + [c] * (ctx.d - j))
-    return tuple(solve_affine(f, ctx.one))
+def _trace_hyperplane(ctx: FieldCtx, j: int, k: int, c: FieldElem, e: int) -> tuple:
+    """t^e for all t in ctx with sum_{i<j} t^{q^i} + sum_{i<k} c^{q^i} t^{q^{j+i}} = 1."""
+    f = TwistedPoly(ctx, [ctx.one] * j + [ctx.frobenius(c, i) for i in range(k)])
+    return tuple(ctx.pow(t, e) for t in solve_affine(f, ctx.one))
 
 
-def _twisted(ctx: FieldCtx, x: FieldElem, k: int, ts) -> list:
-    """x^{q^k} t for each t, in canonical order."""
-    xk = ctx.frobenius(x, k)
+def _on_hyperplane(params: TowerParams, ctx: FieldCtx, x: FieldElem, n: int, e: int) -> list:
+    """x^{q^k} t^e for each t on the hyperplane of c = x^n, in canonical order."""
+    xk = ctx.frobenius(x, params.k)
+    ts = _trace_hyperplane(ctx, params.j, params.k, ctx.pow(x, n), e)
     return sorted((ctx.mul(xk, t) for t in ts), key=ctx.to_int)
 
 
 def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
     """All y in the ambient with Q_x(y) = x; q^{m-1} of them once split.
 
-    Over F_{q^m}, x^{q^m} = x, so y = x^{q^k} t solves it iff tr_m(t) = 1.
+    Dividing by x, Q_x(y) = x iff y = x^{q^k} t with t on the hyperplane of
+    c = x^{q^m-1}, which is 1 over F_{q^m}.
     """
     if x == ctx.zero:
         raise ZeroPoint("fiber over x = 0 is undefined")
-    if ctx.d == params.m:
-        return _twisted(ctx, x, params.k, _trace_hyperplane(ctx, params.j, ctx.one))
-    return solve_affine(q_poly(params, ctx, x), x)
+    return _on_hyperplane(params, ctx, x, ctx.q**params.m - 1, 1)
 
 
 @functools.cache
@@ -161,26 +156,18 @@ def _level_candidates(params, ctx, variant, prev) -> tuple:
     a = X^{-N_k} and b = X^{N_j}, G(X, Y) = 0 iff Y = X s^{q-1} for some s
     with L_X(s) = tr_j(a s) + tr_k(b s^{q^j}) = 1; s is fixed up to F_q^*,
     which scales L_X(s), so s -> X s^{q-1} maps the solutions one-to-one onto
-    the successors.  Over F_{q^m}, t = a s turns L_X(s) = 1 into the trace
-    hyperplane with c = X^{N_m} in F_q^*, and Y = X^{q^k} t^{q-1}; F uses
-    c = 1, so neither solves per point there.  Cross-multiplied, H(u, v) = 0
-    reads den2 tr_j(v) - den1 tr_k(v)^{q^j} = a den2 - b den1, which is
-    affine in v (one solve each); a degenerate denominator has no successors.
+    the successors.  Since N_j + q^j N_k = N_m, t = a s turns L_X(s) = 1 into
+    the hyperplane of F with c = X^{N_m}, and Y = X^{q^k} t^{q-1}.  So F and
+    G solve once per distinct c, which over F_{q^m} lies in F_q^*.
+    Cross-multiplied, H(u, v) = 0 reads den2 tr_j(v) - den1 tr_k(v)^{q^j} =
+    a den2 - b den1, which is affine in v (one solve each); a degenerate
+    denominator has no successors.
     """
     if variant == "F":
         return tuple(fiber_solutions(params, ctx, prev))
-    j, k = params.j, params.k
+    q, j, k = ctx.q, params.j, params.k
     if variant == "G":
-        q = ctx.q
-        if ctx.d == params.m:
-            c = ctx.pow(prev, (q**params.m - 1) // (q - 1))
-            ts = _trace_hyperplane(ctx, j, c)
-            return tuple(_twisted(ctx, prev, k, (ctx.pow(t, q - 1) for t in ts)))
-        a = ctx.pow(prev, -((q**k - 1) // (q - 1)))
-        b = ctx.pow(prev, (q**j - 1) // (q - 1))
-        coeffs = [ctx.frobenius(a, i) for i in range(j)] + [ctx.frobenius(b, i) for i in range(k)]
-        sols = solve_affine(TwistedPoly(ctx, coeffs), ctx.one)
-        return tuple(sorted((ctx.mul(prev, ctx.pow(s, q - 1)) for s in sols), key=ctx.to_int))
+        return tuple(_on_hyperplane(params, ctx, prev, (q**params.m - 1) // (q - 1), q - 1))
     den1, den2 = _h_denominators(params, ctx, prev)
     if den1 == ctx.zero or den2 == ctx.zero:
         return ()
@@ -197,6 +184,11 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
     (u_2, ..., u_n) and require n >= 2.  Raises SizeCapExceeded before
     building anything if a walk counts more than POINTS_CAP chains on a level.
     """
+    return list(iter_rational(params, n, variant))
+
+
+def iter_rational(params: TowerParams, n: int, variant: str):
+    """The points of `enumerate_rational`, in order, built lazily; all checks run at the first `next`."""
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
@@ -208,10 +200,11 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
     for size in itertools.islice(_chain_counts(params, ctx, variant), length):
         if size > POINTS_CAP:
             raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
-    frontier = [(x,) for x in ctx.all_elements() if x != ctx.zero]
+    frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
-        frontier = [t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1])]
-    return [TowerPoint(variant, params, ctx, coords) for coords in frontier]
+        frontier = (t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1]))
+    for coords in frontier:
+        yield TowerPoint(variant, params, ctx, coords)
 
 
 def _chain_counts(params: TowerParams, ctx: FieldCtx, variant: str):
@@ -240,13 +233,13 @@ def count_supersingular(params: TowerParams, n: int) -> tuple:
     return count, formula
 
 
-@dataclass(frozen=True)
-class RSU:
+class RSU(Value):
     """The coordinates R = y/x^{q^k}, S = y^{q^j}/x, and u on the quotient curve."""
 
-    R: FieldElem
-    S: FieldElem
-    u: FieldElem
+    __slots__ = ("R", "S", "u")
+
+    def __init__(self, R: FieldElem, S: FieldElem, u: FieldElem):
+        self._assign(R, S, u)
 
 
 def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> RSU:
@@ -302,8 +295,9 @@ def ssing_u_set(params: TowerParams, n: int) -> set:
     return set(itertools.product(good, repeat=n - 1))
 
 
-def ihara_bound(p: int, m: int) -> Fraction:
-    """The closed-form lower bound 2(p^{m+1}-1) / (p + 1 + (p-1)/(p^m-1))."""
+def ihara_bound(p: int, m: int):
+    """The closed-form lower bound 2(p^{m+1}-1) / (p + 1 + (p-1)/(p^m-1)), a Fraction."""
+    from fractions import Fraction  # imported here: it loads `decimal`, which nothing else needs
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:

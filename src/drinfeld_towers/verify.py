@@ -9,6 +9,7 @@ across runs.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .drinfeld import DrinfeldModule, cyclic_module
@@ -19,9 +20,10 @@ from .isogeny import (
     check_roundtrip,
     check_theta_marked_point,
     lambda_poly,
+    verify_lemma_1_6,
 )
 from .ore import kernel, splitting_degree
-from .towers import enumerate_rational, fiber_solutions, rsu
+from .towers import enumerate_rational, fiber_solutions, iter_rational, rsu
 
 # (p, e, m, j) for q in {2, 3, 4, 5}; every tuple here has k = m - j = 1
 DEFAULT_GRID = (
@@ -51,8 +53,6 @@ def _entry(check: str, params: TowerParams, ambient_degree, cases: int, failures
 
 def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """eta_x phi^x_T = Q_x lambda_x for every nonzero x, in F_{q^m} and F_{q^{2m}}."""
-    from .isogeny import verify_lemma_1_6
-
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
@@ -88,8 +88,7 @@ def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
                 if not check_intertwine(lam, phi_x, params.module_at(ctx, y)):
                     failures.append(f"x = {ctx.format_elem(x)}, y = {ctx.format_elem(y)}")
         # composites over length-3 chains (capped; order is canonical)
-        pts = enumerate_rational(params, 3, "F")
-        for pt in pts[:20]:
+        for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
             chain = XChain(params, ctx, pt.coords)
             cases += 1
             ok = check_intertwine(
@@ -115,8 +114,7 @@ def suite_theta(grid=DEFAULT_GRID, seed: int = 0) -> list:
         failures = []
         cases = 0
         ambient = None
-        pts = enumerate_rational(params, 2, "F")
-        for pt in pts[:3]:
+        for pt in itertools.islice(iter_rational(params, 2, "F"), 3):
             chain = XChain(params, ctx, pt.coords)
             deg = splitting_degree(chain.composite(), 2 * params.k)
             ambient = max(ambient or 0, deg)

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,22 +160,31 @@ def _g_solve(params, ctx, X):
     return sorted((ctx.mul(X, ctx.pow(s, q - 1)) for s in sols), key=ctx.to_int)
 
 
+_HYPERPLANE_TOWERS = {
+    "2131": TowerParams(2, 1, 3, 1), "2152": P2152, "2232": P2232, "3221": TowerParams(3, 2, 2, 1),
+    "3141": TowerParams(3, 1, 4, 1), "5131": P531, "2173": TowerParams(2, 1, 7, 3),
+}
+
+
 class TestTraceHyperplane:
     @pytest.mark.parametrize(
-        "params",
-        [
-            TowerParams(2, 1, 3, 1), P2152, P2232, TowerParams(3, 2, 2, 1),
-            TowerParams(3, 1, 4, 1), P531, TowerParams(2, 1, 7, 3),
-        ],
-        ids=["2131", "2152", "2232", "3221", "3141", "5131", "2173"],
+        "params,times",
+        [(pr, 1) for pr in _HYPERPLANE_TOWERS.values()]
+        + [(pr, t) for name, pr in _HYPERPLANE_TOWERS.items() if name != "2173" for t in (2, 3)],
+        ids=list(_HYPERPLANE_TOWERS)
+        + [f"{name}-{t}m" for name in _HYPERPLANE_TOWERS if name != "2173" for t in (2, 3)],
     )
-    def test_successors_match_per_point_solves(self, params):
-        # oracle: over F_{q^m} the cached hyperplanes give exactly the
-        # successors that one affine solve per point gives
-        ctx = params.field(params.m)
-        for x in ctx.all_elements():
-            if x == ctx.zero:
-                continue
+    def test_successors_match_per_point_solves(self, params, times):
+        # oracle: the cached hyperplanes give exactly the successors that one
+        # affine solve per point gives, over F_{q^m} for every x, and for 40
+        # random x over F_{q^{2m}} and F_{q^{3m}}, where c = x^{q^m-1} leaves F_q
+        ctx = params.field(times * params.m)
+        if times == 1:
+            xs = [x for x in ctx.all_elements() if x != ctx.zero]
+        else:
+            rng = random.Random(f"{params}-{times}")
+            xs = [ctx.from_int(rng.randrange(1, ctx.q**ctx.d)) for _ in range(40)]
+        for x in xs:
             f_sols = solve_affine(q_poly(params, ctx, x), x)
             assert fiber_solutions(params, ctx, x) == f_sols
             assert list(towers._level_candidates(params, ctx, "F", x)) == f_sols

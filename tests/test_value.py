@@ -1,0 +1,92 @@
+"""The immutable value classes, and the import cost they exist to keep low."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from drinfeld_towers.cli import RunConfig
+from drinfeld_towers.drinfeld import DrinfeldModule
+from drinfeld_towers.isogeny import TowerParams, XChain
+from drinfeld_towers.ore import Subspace
+from drinfeld_towers.towers import RSU, TowerPoint, fiber_solutions
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+P221 = TowerParams(2, 1, 2, 1)
+F4 = P221.field(2)
+W = F4.from_int(2)
+Y = fiber_solutions(P221, F4, F4.one)[0]
+
+# each builds a new instance, equal to every other it builds
+BUILDERS = {
+    "TowerParams": lambda: TowerParams(2, 1, 2, 1),
+    "XChain": lambda: XChain(P221, F4, (F4.one, Y)),
+    "DrinfeldModule": lambda: DrinfeldModule(F4, 2, 1, W),
+    "Subspace": lambda: Subspace.from_vectors(F4, [W]),
+    "TowerPoint": lambda: TowerPoint("F", P221, F4, (F4.one, Y)),
+    "RSU": lambda: RSU(F4.one, W, F4.zero),
+    "RunConfig": lambda: RunConfig("bound", p=2, m=2),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+class TestValueClasses:
+    def test_fields_cannot_be_assigned(self, build):
+        obj = build()
+        field = type(obj).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+
+    def test_equal_fields_are_equal_and_hash_equal(self, build):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_repr_names_the_class(self, build):
+        obj = build()
+        assert repr(obj).startswith(type(obj).__name__ + "(")
+
+
+def test_different_fields_differ():
+    assert TowerParams(2, 1, 3, 1) != TowerParams(2, 1, 3, 2)
+    assert DrinfeldModule(F4, 2, 1, W) != DrinfeldModule(F4, 2, 1, F4.one)
+
+
+def test_other_types_never_equal():
+    assert TowerParams(2, 1, 2, 1) != (2, 1, 2, 1)
+    assert RSU(F4.one, W, F4.zero) != (F4.one, W, F4.zero)
+
+
+def test_repr_shows_fields_not_derived_data():
+    assert repr(P221) == "TowerParams(p=2, e=1, m=2, j=1, k=1, a=1, b=0)"
+
+
+def test_config_serializes_every_set_field():
+    cfg = RunConfig("points", p=2, e=1, m=2, j=1, n=3, variant="F")
+    assert cfg.to_dict() == {
+        "command": "points", "p": 2, "e": 1, "m": 2, "j": 1, "n": 3, "variant": "F",
+        "format": "json", "size_cap": cfg.size_cap, "seed": 0,
+    }
+
+
+def test_cli_import_skips_heavy_modules():
+    # compare before and after: what `site` preloads differs between machines
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import drinfeld_towers.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "drinfeld_towers.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions"}
