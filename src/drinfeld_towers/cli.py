@@ -15,7 +15,7 @@ import sys
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
 from .field import size_cap
 from .isogeny import TowerParams
-from .towers import count_supersingular, enumerate_rational, fiber_solutions, ihara_bound
+from .towers import count_supersingular, fiber_solutions, ihara_bound, iter_rational
 from .value import Value
 from .verify import DEFAULT_GRID, SUITES, run_suite, total_failures
 
@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps with sort_keys builds one per call
 
 
 class RunConfig(Value):
@@ -55,7 +57,7 @@ def _params(cfg: RunConfig) -> TowerParams:
 
 def cmd_points(cfg: RunConfig, out) -> int:
     params = _params(cfg)
-    pts = enumerate_rational(params, cfg.n, cfg.variant)
+    pts = iter_rational(params, cfg.n, cfg.variant)  # the cap walk runs here, before any output
     if cfg.format == "csv":
         length = cfg.n if cfg.variant != "H" else cfg.n - 1
         cols = ",".join(f"coord_{i + 1}" for i in range(length))
@@ -69,7 +71,7 @@ def cmd_points(cfg: RunConfig, out) -> int:
             )
     else:
         for pt in pts:
-            print(json.dumps(pt.to_json_dict(), sort_keys=True), file=out)
+            print(_JSON.encode(pt.to_json_dict()), file=out)
     return EXIT_OK
 
 

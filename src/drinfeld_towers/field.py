@@ -9,14 +9,15 @@ For e > 1 each F_q operation is its polynomial formula over F_p on the
 digits, computed once per argument tuple.  Inverses at both levels come
 from the one extended Euclid, `poly_inv_mod`.
 
-A field with at most `LOG_CAP` elements also gets discrete-log tables for a
-primitive element g (the small-field design of FLINT's `fq_zech`, restricted
-to the multiplicative side): `mul`, `inv`, `pow` and `frobenius` become one
-lookup each, while `add` and `sub` stay coordinate-wise.  Larger fields use
-the coordinate arithmetic (`_mul_coords`, `_pow_coords`, `_frobenius_coords`),
-which also builds the tables and serves as their test oracle.  The cap is
-low because tables cost memory: a cap of 2^13 raised the peak RSS of the
-prime-field verify benchmark by 7%.
+A field with at most `LOG_CAP` elements gets discrete-log tables for a
+primitive element g, in the small-field design of FLINT's `fq_zech`: with
+exp[k] = g^k, log = exp^{-1} (zero maps to None) and the Zech logarithms
+zech[k] = log(1 + g^k), every operation is one lookup, addition included,
+since g^a + g^b = g^{a + zech[b - a]} (Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 1990).  Larger fields use the coordinate
+arithmetic (`_add_coords`, `_mul_coords`, `_pow_coords`, `_frobenius_coords`),
+which also builds the tables and serves as their test oracle.  The cap is low
+because tables cost memory and build time that few operations repay.
 
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
@@ -43,7 +44,7 @@ from .errors import (
 FieldElem = tuple  # length-d tuple of base ints; alias for readability
 
 DEFAULT_SIZE_CAP = 2**26
-LOG_CAP = 2**10  # largest field that gets discrete-log tables
+LOG_CAP = 2**10  # largest field that gets discrete-log and Zech tables
 ENUMERATION_CAP = 2**16  # largest field `subfield_elements` lists
 
 
@@ -81,7 +82,7 @@ def _prime_factors(n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # generic dense polynomials over a small field given by an "ops" object
-# (elements are ints; ops has .add/.sub/.mul/.neg/.inv and .size)
+# (elements are ints; ops is a `_BaseOps`)
 
 def poly_trim(c: Sequence[int]) -> tuple:
     i = len(c)
@@ -113,13 +114,10 @@ def poly_sub(a, b, ops) -> tuple:
 def poly_mul(a, b, ops) -> tuple:
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    out, n = [0] * (len(a) + len(b) - 1), len(b)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = ops.add(out[i + j], ops.mul(x, y))
+        if x:
+            out[i : i + n] = ops.sub_row(out[i : i + n], ops.neg(x), b)
     return poly_trim(out)
 
 
@@ -136,9 +134,7 @@ def poly_divmod(a, b, ops) -> tuple:
         c = ops.mul(a[-1], lb_inv)
         shift = len(a) - 1 - db
         q[shift] = c
-        for i in range(db + 1):
-            a[shift + i] = ops.sub(a[shift + i], ops.mul(c, b[i]))
-        a = list(poly_trim(a))
+        a = list(poly_trim(a[:shift] + ops.sub_row(a[shift:], c, b)))
     return poly_trim(q), poly_trim(a)
 
 
@@ -178,6 +174,15 @@ def _is_irreducible(f, ops) -> bool:
     deg = len(f) - 1
     if deg <= 0:
         return False
+    # a root is a linear factor; most reducible candidates have one, and
+    # finding it by Horner costs no polynomial division
+    if deg >= 2:
+        for a in range(ops.size):
+            acc = 0
+            for c in reversed(f):
+                acc = ops.add(ops.mul(acc, a), c)
+            if acc == 0:
+                return False
     y = h = (0, 1)
     for _ in range(deg // 2):
         # h <- h^Q mod f, so h = y^{Q^i} mod f
@@ -202,6 +207,11 @@ def least_irreducible(deg: int, ops) -> tuple:
         if _is_irreducible(f, ops):
             return f
     raise NoIrreducibleFound(f"no monic irreducible of degree {deg} over size-{ops.size} field")
+
+
+def _sparse(v: Sequence[int]) -> tuple:
+    """The (index, entry) pairs of v's nonzero entries."""
+    return tuple((t, c) for t, c in enumerate(v) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +277,24 @@ class _BaseOps:
             return pow(a, -1, self.p)
         return self._pack(poly_inv_mod(self._unpack(a), self.modulus, self._pops))
 
+    # row helpers: one call per row, and for e = 1 no method call per entry
+
+    def scale_row(self, c, row) -> list:
+        """c row, entrywise."""
+        if self.e == 1:
+            p = self.p
+            return [c * v % p for v in row]
+        mul = self.mul
+        return [mul(c, v) for v in row]
+
+    def sub_row(self, a, c, b) -> list:
+        """a - c b, entrywise."""
+        if self.e == 1:
+            p = self.p
+            return [(u - c * v) % p for u, v in zip(a, b)]
+        sub, mul = self.sub, self.mul
+        return [sub(u, mul(c, v)) for u, v in zip(a, b)]
+
 
 class FieldCtx:
     """Immutable description of F_{q^d}; owns all element arithmetic.
@@ -296,31 +324,59 @@ class FieldCtx:
         self.format_elem = functools.cache(self.format_elem)  # one digit string per element
         # y^{d+i} reduced mod ext_modulus, for multiplication reduction
         self._high_pows = [
-            self._pad(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))
+            _sparse(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))
             for i in range(d - 1)
         ]
-        # (y^t)^q for each basis power; coefficients live in F_q and are fixed
-        # by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates
-        self._frob_y = [self._pow_coords(self._pad((0,) * t + (1,)), self.q) for t in range(d)]
         self._subfield_cache: dict = {}
-        self._log = None  # element -> k with g^k = element, when q^d <= LOG_CAP
+        self._log = None  # element -> k with g^k = element (zero -> None), when q^d <= LOG_CAP
         if self.q**d <= LOG_CAP:
             self._build_logs()
 
     def _build_logs(self) -> None:
-        """exp[k] = g^k for the least primitive g in from_int order, and log = exp^{-1}."""
-        n = self.q**self.d - 1
+        """exp[k] = g^k, log = exp^{-1} with zero -> None, and zech[k] = log(1 + g^k).
+
+        Any primitive g gives the same arithmetic.  For g = y + c the step
+        x -> x g is a shift, one fold of y^d = -(f_0 + ... + f_{d-1} y^{d-1})
+        and c x, so the first such g that is primitive makes a cheap table;
+        where none is (F_{2^9}), the least primitive g in from_int order is
+        stepped by `_mul_coords`.
+        """
+        n, ops, one, f = self.q**self.d - 1, self._bops, self.one, self.ext_modulus
         primes = _prime_factors(n)
-        for v in range(1, n + 1):
-            g = self.from_int(v)
-            if all(self._pow_coords(g, n // r) != self.one for r in primes):
+
+        def primitive(g):
+            return g != self.zero and all(self._pow_coords(g, n // r) != one for r in primes)
+
+        for c in range(self.q):
+            def step(x, neg_c=ops.neg(c)):
+                xy = ops.sub_row((0,) + x, x[-1], f)[:-1]  # its top entry is x_{d-1} - x_{d-1} = 0
+                return tuple(ops.sub_row(xy, neg_c, x) if neg_c else xy)
+
+            if primitive(step(one)):
                 break
-        exp = [self.one]
+        else:
+            g = next(g for g in map(self.from_int, range(1, n + 1)) if primitive(g))
+            step = functools.partial(self._mul_coords, g)
+        exp = [one]
         for _ in range(n - 1):
-            exp.append(self._mul_coords(exp[-1], g))
+            exp.append(step(exp[-1]))
+        log = dict(zip(exp, range(n)))
+        log[self.zero] = None
+        # 1 + g^k differs from g^k only in coordinate 0
+        zech = [log[(ops.add(x[0], 1),) + x[1:]] for x in exp]
         self._n = n
-        self._exp = exp + exp  # doubled, so a sum of two logs needs no reduction
-        self._log = {x: k for k, x in enumerate(exp)}
+        self._half = n // 2 if self.p > 2 else 0  # -1 = g^{n/2} for odd q
+        self._qpow = [self.q**i % n for i in range(self.d)]  # x^{q^i} = g^{k q^i}
+        # doubled, so a sum or difference of two logs needs no reduction
+        self._exp, self._zech, self._log = exp + exp, zech + zech, log
+
+    @functools.cached_property
+    def _frob_y(self) -> list:
+        """(y^t)^q for each basis power; coefficients live in F_q and are fixed
+        by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates.
+        Built on first use, so a tabled field never builds it."""
+        units = (self._pad((0,) * t + (1,)) for t in range(self.d))
+        return [_sparse(self._pow_coords(u, self.q)) for u in units]
 
     # -- representation helpers ------------------------------------------------
 
@@ -379,10 +435,34 @@ class FieldCtx:
 
     # -- arithmetic ------------------------------------------------------------
 
-    # add/sub/neg: plain ints mod p for e = 1; for p = 2 the packed digits
-    # add by XOR; otherwise the cached F_q operation per coordinate
+    # with tables each operation is one lookup; for an element the log is
+    # None exactly at zero
 
     def add(self, x: FieldElem, y: FieldElem) -> FieldElem:
+        log = self._log
+        if log is None:
+            return self._add_coords(x, y)
+        lx, ly = log[x], log[y]
+        if lx is None:
+            return y
+        if ly is None:
+            return x
+        k = self._zech[ly - lx]  # g^lx + g^ly = g^lx (1 + g^{ly - lx})
+        return self.zero if k is None else self._exp[lx + k]
+
+    def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
+        return self.add(x, self.neg(y))
+
+    def neg(self, x: FieldElem) -> FieldElem:
+        log = self._log
+        if log is None:
+            return self.base_scale(self.p - 1, x)  # -1 packs to p - 1 for every e
+        k = log[x]
+        return x if k is None else self._exp[k + self._half]
+
+    def _add_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
+        """Plain ints mod p for e = 1, XOR of packed digits for p = 2, else
+        the cached F_q addition per coordinate."""
         if self.e == 1:
             p = self.p
             return tuple([(a + b) % p for a, b in zip(x, y)])
@@ -391,71 +471,72 @@ class FieldCtx:
         add = self._bops.add
         return tuple([add(a, b) for a, b in zip(x, y)])
 
-    def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        if self.e == 1:
-            p = self.p
-            return tuple([(a - b) % p for a, b in zip(x, y)])
-        if self.p == 2:
-            return tuple([a ^ b for a, b in zip(x, y)])
-        sub = self._bops.sub
-        return tuple([sub(a, b) for a, b in zip(x, y)])
-
-    def neg(self, x: FieldElem) -> FieldElem:
-        if self.e == 1:
-            p = self.p
-            return tuple([(-a) % p for a in x])
-        if self.p == 2:
-            return x
-        neg = self._bops.neg
-        return tuple([neg(a) for a in x])
-
     def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
         log = self._log
         if log is None:
             return self._mul_coords(x, y)
-        if x == self.zero or y == self.zero:
+        lx, ly = log[x], log[y]
+        if lx is None or ly is None:
             return self.zero
-        return self._exp[log[x] + log[y]]
+        return self._exp[lx + ly]
 
     def _mul_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        d, bops = self.d, self._bops
+        """Schoolbook product with y^{d+i} folded back by `_high_pows`.
+
+        For e = 1 and d (p-1)^2 < 256 the convolution is one int product of
+        the coordinate vectors packed a byte per coefficient (Kronecker
+        substitution): no sum overflows its byte, so the bytes of the product
+        are the sums, and each coordinate is reduced mod p once.
+        """
+        d = self.d
+        if self.e == 1 and d * (self.p - 1) ** 2 < 256:
+            prod = int.from_bytes(bytes(x), "little") * int.from_bytes(bytes(y), "little")
+            out = prod.to_bytes(2 * d, "little")
+            res = list(out[:d])
+            for c, red in zip(out[d:], self._high_pows):
+                if c:
+                    for t, r in red:
+                        res[t] += c * r
+            p = self.p
+            return tuple([v % p for v in res])
+        add, mul = self._bops.add, self._bops.mul
         out = [0] * (2 * d - 1)
         for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for jj, b in enumerate(y):
-                if b:
-                    out[i + jj] = bops.add(out[i + jj], bops.mul(a, b))
-        # fold y^{d+i} terms back via precomputed reductions
-        res = list(out[:d])
-        for i in range(d - 1):
-            c = out[d + i]
-            if c == 0:
-                continue
-            red = self._high_pows[i]
-            for t in range(d):
-                if red[t]:
-                    res[t] = bops.add(res[t], bops.mul(c, red[t]))
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        out[i + j] = add(out[i + j], mul(a, b))
+        res = out[:d]
+        for c, red in zip(out[d:], self._high_pows):
+            if c:
+                for t, r in red:
+                    res[t] = add(res[t], mul(c, r))
         return tuple(res)
 
     def base_scale(self, b: int, x: FieldElem) -> FieldElem:
-        return tuple(self._bops.mul(b, c) for c in x)
+        return tuple(self._bops.scale_row(b, x))
 
     def inv(self, x: FieldElem) -> FieldElem:
-        if x == self.zero:
-            raise DivisionByZero("inverse of 0")
-        if self._log is None:
+        log = self._log
+        if log is None:
+            if x == self.zero:
+                raise DivisionByZero("inverse of 0")
             return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
-        return self._exp[self._n - self._log[x]]
+        k = log[x]
+        if k is None:
+            raise DivisionByZero("inverse of 0")
+        return self._exp[self._n - k]
 
     def pow(self, x: FieldElem, n: int) -> FieldElem:
         if n < 0:
             x, n = self.inv(x), -n
-        if self._log is None:
+        log = self._log
+        if log is None:
             return self._pow_coords(x, n)
-        if x == self.zero:
+        k = log[x]
+        if k is None:
             return self.zero if n else self.one
-        return self._exp[self._log[x] * n % self._n]
+        return self._exp[k * n % self._n]
 
     def _pow_coords(self, x: FieldElem, n: int) -> FieldElem:
         """x^n for n >= 0 by square-and-multiply."""
@@ -472,23 +553,29 @@ class FieldCtx:
     def frobenius(self, x: FieldElem, i: int = 1) -> FieldElem:
         """x^{q^i}; x^{q^d} = x, so i wraps mod d."""
         i %= self.d
-        if self._log is None:
+        log = self._log
+        if log is None:
             return self._frobenius_coords(x, i)
-        if i == 0 or x == self.zero:
-            return x
-        return self._exp[self._log[x] * self.q**i % self._n]
+        k = log[x]
+        return x if k is None else self._exp[k * self._qpow[i] % self._n]
 
     def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
-        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates."""
+        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates, for
+        e = 1 with one reduction mod p per coordinate."""
+        d, p, prime = self.d, self.p, self.e == 1
         add, mul = self._bops.add, self._bops.mul
-        for _ in range(i % self.d):
-            acc = [0] * self.d
+        for _ in range(i % d):
+            acc = [0] * d
             for c, row in zip(x, self._frob_y):
-                if c:
-                    for t, r in enumerate(row):
-                        if r:
-                            acc[t] = add(acc[t], mul(c, r))
-            x = tuple(acc)
+                if c == 0:
+                    continue
+                if prime:
+                    for t, r in row:
+                        acc[t] += c * r
+                else:
+                    for t, r in row:
+                        acc[t] = add(acc[t], mul(c, r))
+            x = tuple([v % p for v in acc]) if prime else tuple(acc)
         return x
 
     def trace_partial(self, x: FieldElem, l: int) -> FieldElem:

@@ -1,8 +1,9 @@
 """Exact Gaussian elimination over small finite fields.
 
 Matrices are tuples of row tuples; entries are base ints handled through an
-ops object (add/sub/mul/inv).  Pivoting is fixed (leftmost column, lowest row
-index) so reduced echelon forms are canonical and runs are reproducible.
+ops object (`field._BaseOps`: inv, neg and the row helpers scale_row and
+sub_row).  Pivoting is fixed (leftmost column, lowest row index) so reduced
+echelon forms are canonical and runs are reproducible.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ def rref(rows, ops):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = ops.inv(mat[r][c])
-        mat[r] = [ops.mul(inv, v) for v in mat[r]]
+        mat[r] = ops.scale_row(ops.inv(mat[r][c]), mat[r])
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = ops.sub_row(mat[i], mat[i][c], mat[r])
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -107,7 +107,7 @@ class TwistedPoly:
 
 
 def _same_ctx(f: TwistedPoly, g: TwistedPoly):
-    if f.ctx != g.ctx:
+    if f.ctx is not g.ctx and f.ctx != g.ctx:
         raise ContextMismatch("twisted polynomials over different contexts")
 
 
@@ -129,14 +129,15 @@ def ore_mul(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     ctx = f.ctx
     if f.is_zero() or g.is_zero():
         return TwistedPoly.zero(ctx)
-    out = [ctx.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    add, mul, frobenius, zero = ctx.add, ctx.mul, ctx.frobenius, ctx.zero
+    out = [zero] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
-        if a == ctx.zero:
+        if a == zero:
             continue
         for j, b in enumerate(g.coeffs):
-            if b == ctx.zero:
+            if b == zero:
                 continue
-            out[i + j] = ctx.add(out[i + j], ctx.mul(a, ctx.frobenius(b, i)))
+            out[i + j] = add(out[i + j], mul(a, frobenius(b, i)))
     return TwistedPoly(ctx, out)
 
 

@@ -188,7 +188,8 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
 
 
 def iter_rational(params: TowerParams, n: int, variant: str):
-    """The points of `enumerate_rational`, in order, built lazily; all checks run at the first `next`."""
+    """The points of `enumerate_rational`, in order, built lazily; every check
+    and the cap walk run before it returns."""
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
@@ -203,8 +204,7 @@ def iter_rational(params: TowerParams, n: int, variant: str):
     frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
         frontier = (t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1]))
-    for coords in frontier:
-        yield TowerPoint(variant, params, ctx, coords)
+    return (TowerPoint(variant, params, ctx, coords) for coords in frontier)
 
 
 def _chain_counts(params: TowerParams, ctx: FieldCtx, variant: str):

@@ -119,6 +119,14 @@ class TestOtherCommands:
         )
         assert code == 3 and out == ""
 
+    def test_deep_csv_listing_prints_no_header(self, capsys):
+        # points stream, but the cap walk runs before the header is printed
+        code, out = run(
+            capsys, "points", "--p", "2", "--m", "2", "--j", "1", "--n", "22", "--variant", "F",
+            "--format", "csv",
+        )
+        assert code == 3 and out == ""
+
     def test_deep_ss_count_walks_past_the_point_cap(self, capsys):
         # counting lists no point, so 3 * 2^21 chains need no cap
         code, out = run(capsys, "ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "22")

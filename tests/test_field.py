@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -312,7 +313,16 @@ class TestBaseField:
 
 
 class TestAddition:
-    """add/sub/neg against the per-coordinate F_q operations."""
+    """add/sub/neg against the per-coordinate F_q operations, on the Zech table
+    path and, with LOG_CAP patched to 0, on the coordinate path."""
+
+    @staticmethod
+    def _ctx(monkeypatch, p, e, d, tabled):
+        if not tabled:
+            monkeypatch.setattr(field, "LOG_CAP", 0)
+        ctx = FieldCtx(p, e, d)  # a fresh build, so the patched cap applies
+        assert (ctx._log is not None) == tabled
+        return ctx
 
     @staticmethod
     def _check(ctx, x, y):
@@ -321,14 +331,37 @@ class TestAddition:
         assert ctx.sub(x, y) == tuple(ops.sub(a, b) for a, b in zip(x, y))
         assert ctx.neg(x) == tuple(ops.neg(a) for a in x)
 
-    # e = 1 (ints mod p), p = 2 with e > 1 (XOR) and e = 1 with p = 2
-    @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (2, 1, 6)])
-    def test_every_pair(self, p, e, d):
-        ctx = make_field(p, e, d)
+    # e = 1 with p odd (ints mod p; -1 = g^{n/2}), p = 2 with e > 1 (XOR),
+    # e = 1 with p = 2, and a field whose generator is y + c
+    EVERY_PAIR = [(3, 1, 3), (2, 2, 3), (2, 1, 6), (5, 1, 3)]
+
+    @pytest.mark.parametrize("p,e,d", EVERY_PAIR)
+    def test_every_pair(self, monkeypatch, p, e, d):
+        self._every_pair(self._ctx(monkeypatch, p, e, d, True))
+
+    @pytest.mark.parametrize("p,e,d", EVERY_PAIR)
+    def test_every_pair_on_coordinates(self, monkeypatch, p, e, d):
+        self._every_pair(self._ctx(monkeypatch, p, e, d, False))
+
+    def _every_pair(self, ctx):
         els = ctx.all_elements()
         for x in els:
             for y in els:
                 self._check(ctx, x, y)
+
+    @pytest.mark.parametrize("tabled", [True, False], ids=["zech", "coords"])
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 1, 1)])
+    def test_cancellation_and_zero(self, monkeypatch, p, e, d, tabled):
+        # the cases where the Zech table holds None or an operand has no log
+        ctx = self._ctx(monkeypatch, p, e, d, tabled)
+        zero = ctx.zero
+        assert ctx.add(zero, zero) == ctx.sub(zero, zero) == ctx.neg(zero) == zero
+        for x in ctx.all_elements():
+            assert ctx.add(x, ctx.neg(x)) == ctx.add(ctx.neg(x), x) == zero
+            assert ctx.sub(x, x) == zero
+            assert ctx.add(x, zero) == ctx.add(zero, x) == ctx.sub(x, zero) == x
+            assert ctx.sub(zero, x) == ctx.neg(x)
+            assert ctx.neg(ctx.neg(x)) == x
 
     def test_sample_odd_extension(self):
         ctx = make_field(3, 2, 2)
@@ -376,6 +409,28 @@ class TestFrobenius:
                 prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
                 assert ctx.mul(x, y) == ctx.element(prod)
 
+    # the same oracle on both e = 1 paths of `_mul_coords`, above the cap:
+    # F_{3^8} and F_{5^10} pack the coordinates into bytes, and in F_{17^2}
+    # d (p-1)^2 >= 256 rules bytes out
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 8), (5, 1, 10), (17, 1, 2)])
+    def test_mul_coords_matches_poly_mod(self, p, e, d):
+        ctx = make_field(p, e, d)
+        rng = random.Random(3)
+        size = ctx.q**d
+        full = ctx.from_int(size - 1)  # every coefficient q - 1: the largest sums
+        pairs = [(full, full)] + [
+            tuple(ctx.from_int(rng.randrange(size)) for _ in range(2)) for _ in range(1500)
+        ]
+        for x, y in pairs:
+            prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
+            assert ctx._mul_coords(x, y) == ctx.element(prod)
+
+
+def _check_log_keys(ctx, els):
+    """The log table has every element as a key, and only zero maps to None."""
+    assert set(ctx._log) == set(els) and len(els) == ctx.q**ctx.d
+    assert [x for x, k in ctx._log.items() if k is None] == [ctx.zero]
+
 
 class TestLogTables:
     """The table path against the coordinate arithmetic it is built with."""
@@ -384,8 +439,8 @@ class TestLogTables:
     def test_matches_coordinate_path(self, p, e, d):
         ctx = make_field(p, e, d)
         size = ctx.q**ctx.d
-        assert len(ctx._log) == size - 1  # g generates every unit
         els = ctx.all_elements()
+        _check_log_keys(ctx, els)  # g generates every unit
         for x in els:
             for y in els:
                 assert ctx.mul(x, y) == ctx._mul_coords(x, y)
@@ -411,13 +466,70 @@ class TestLogTables:
     def test_largest_logged_field(self):
         ctx = make_field(2, 1, 10)
         assert field.LOG_CAP == 2**10
-        assert len(ctx._log) == 2**10 - 1
+        _check_log_keys(ctx, ctx.all_elements())
         rng = random.Random(1)
         for _ in range(2000):
             x, y = ctx.from_int(rng.randrange(2**10)), ctx.from_int(rng.randrange(2**10))
             assert ctx.mul(x, y) == ctx._mul_coords(x, y)
             i = rng.randrange(ctx.d)
             assert ctx.frobenius(x, i) == ctx._frobenius_coords(x, i)
+
+    # the exp table is stepped by x -> x g; check it against powers of g made
+    # by the coordinate multiply, for g = y, for g = y + c with c != 0, and for
+    # F_{2^9}, where no y + c is primitive and g is y^2 + y + 1
+    @pytest.mark.parametrize(
+        "p,e,d,g",
+        [
+            (3, 1, 6, (0, 1, 0, 0, 0, 0)),
+            (5, 1, 3, (4, 1, 0)),
+            (2, 1, 9, (1, 1, 1, 0, 0, 0, 0, 0, 0)),
+        ],
+    )
+    def test_exp_table_is_powers_of_g(self, p, e, d, g):
+        ctx = make_field(p, e, d)
+        n = ctx.q**d - 1
+        assert ctx._exp[1] == g and len(ctx._exp) == 2 * n
+        for k in range(2 * n):
+            assert ctx._exp[k] == ctx._pow_coords(g, k % n)
+
+    def test_build_multiplies_only_to_test_primitivity(self, monkeypatch):
+        # F_{3^6}: g = y passes the test x^{728/r} != 1 for r = 2, 7, 13, and
+        # each exp entry is a shift and one fold, with no coordinate multiply
+        calls = []
+        mul = FieldCtx._mul_coords
+
+        def counting_mul(self, x, y):
+            calls.append(1)
+            return mul(self, x, y)
+
+        monkeypatch.setattr(FieldCtx, "_mul_coords", counting_mul)
+        FieldCtx(3, 1, 6)
+        # square-and-multiply makes (bits - 1) squarings and (ones - 1) multiplies
+        exps = (728 // 2, 728 // 7, 728 // 13)
+        assert len(calls) == sum(k.bit_length() + bin(k).count("1") - 2 for k in exps)
+
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 6), (5, 1, 3)])
+    def test_cheap_step_for_y_plus_c(self, monkeypatch, p, e, d):
+        # with g = y or g = y + c no exp entry is a coordinate multiply: every
+        # call comes from the powers of the primitivity test
+        callers = []
+        mul = FieldCtx._mul_coords
+
+        def recording_mul(self, x, y):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return mul(self, x, y)
+
+        monkeypatch.setattr(FieldCtx, "_mul_coords", recording_mul)
+        FieldCtx(p, e, d)
+        assert set(callers) == {"_pow_coords"}
+
+    def test_tabled_suite_adds_no_coordinates(self, monkeypatch):
+        # every field lemma1_6 builds at (3,1,3,2) is tabled: F_{3^3} and F_{3^6}
+        calls = []
+        add = FieldCtx._add_coords
+        monkeypatch.setattr(FieldCtx, "_add_coords", lambda *a: calls.append(1) or add(*a))
+        report = run_suite("lemma1_6", ((3, 1, 3, 2),))
+        assert report and calls == []
 
     def test_no_tables_above_cap(self):
         assert make_field(2, 1, 11)._log is None

@@ -260,6 +260,8 @@ class TestEnumeration:
         assert len(enumerate_rational(P221, 6, "F")) == 96
         with pytest.raises(SizeCapExceeded):
             enumerate_rational(P221, 7, "F")
+        with pytest.raises(SizeCapExceeded):  # at the call, before any point is taken
+            towers.iter_rational(P221, 7, "F")
 
     @pytest.mark.parametrize("params,deg", [(P221, 4), (P2232, 3)], ids=["F16", "F64"])
     def test_validation_matches_recursion(self, params, deg):
