@@ -1,8 +1,8 @@
 """Command-line front end: point enumeration, fibers, counts, verification.
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
-3 resource limit hit.  Reports embed the run configuration that produced
-them.
+3 resource limit hit (a size cap, or memory).  Reports embed the run
+configuration that produced them.
 """
 
 from __future__ import annotations
@@ -203,6 +203,9 @@ def main(argv=None) -> int:
         return _HANDLERS[ns.command](cfg, sys.stdout)
     except SizeCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (NotPrime, ValueError, AlgebraError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -5,9 +5,13 @@ an element of F_q packed as an integer in [0, q) via base-p digits.  The
 tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
-For e > 1 each F_q operation is its polynomial formula over F_p on the
-digits, computed once per argument tuple.  Inverses at both levels come
-from the one extended Euclid, `poly_inv_mod`.
+For e > 1 each F_q operation is defined by its polynomial formula over F_p
+on the digits.  An F_q of at most `LOG_CAP` elements runs on log, antilog
+and (odd p) Zech tables that the formulas build once; for p = 2 the
+coordinate multiply and Frobenius loops below index them directly and add
+by XOR.  A larger F_q computes each formula once per argument tuple (see
+`_BaseOps`).  Inverses at both levels come from the one extended Euclid,
+`poly_inv_mod`.
 
 A field with at most `LOG_CAP` elements gets discrete-log tables for a
 primitive element g, in the small-field design of FLINT's `fq_zech`: with
@@ -29,6 +33,7 @@ so it picks the same moduli as trial division with far fewer divisions.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from typing import Iterable, Sequence
 
@@ -92,23 +97,18 @@ def poly_trim(c: Sequence[int]) -> tuple:
 
 
 def poly_add(a, b, ops) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(ops.add(x, y))
-    return poly_trim(out)
+    return _poly_sub_scaled(a, ops.neg(1), b, ops)
 
 
 def poly_sub(a, b, ops) -> tuple:
+    return _poly_sub_scaled(a, 1, b, ops)
+
+
+def _poly_sub_scaled(a, c, b, ops) -> tuple:
+    """a - c b, padded to one length and taken in one row operation."""
     n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(ops.sub(x, y))
-    return poly_trim(out)
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return poly_trim(ops.sub_row(a, c, b))
 
 
 def poly_mul(a, b, ops) -> tuple:
@@ -126,16 +126,17 @@ def poly_divmod(a, b, ops) -> tuple:
     b = poly_trim(b)
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    a = list(poly_trim(a))
-    db, lb = len(b) - 1, b[-1]
-    lb_inv = ops.inv(lb)
+    a = list(a)
+    db = len(b) - 1
+    lb_inv = ops.inv(b[-1])
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = ops.mul(a[-1], lb_inv)
-        shift = len(a) - 1 - db
-        q[shift] = c
-        a = list(poly_trim(a[:shift] + ops.sub_row(a[shift:], c, b)))
-    return poly_trim(q), poly_trim(a)
+    # clear the coefficient of y^{shift + db} for each shift, top down
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = a[shift + db]
+        if c:
+            q[shift] = c = ops.mul(c, lb_inv)
+            a[shift : shift + db + 1] = ops.sub_row(a[shift : shift + db + 1], c, b)
+    return poly_trim(q), poly_trim(a[:db])
 
 
 def poly_mod(a, b, ops) -> tuple:
@@ -221,9 +222,15 @@ class _BaseOps:
     """Arithmetic on F_q = F_p[x]/(h), elements packed as ints in [0, q).
 
     Packing: value = sum(digit_i * p^i) over the coefficients of x^i.  With
-    e = 1 this is plain F_p arithmetic.  With e > 1 each operation is its
-    polynomial formula over F_p on the digits, computed once per argument
-    tuple: F_q has only q elements, so after warm-up every call is a lookup.
+    e = 1 the five operations are the F_p methods below.  With e > 1 each is
+    its polynomial formula over F_p on the digits (the `_*_digits` methods),
+    which __init__ replaces:
+    - for q <= LOG_CAP by table lookups that the formulas build once.  With
+      n = q - 1 and a primitive g, exp[k] = g^(k mod n) below 2n and 0 from
+      2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b = exp[log a +
+      log b] needs no test for zero.  Sums are XOR of the packed digits for
+      p = 2 and Zech lookups, zech[k] = log(1 + g^k), for odd p;
+    - for a larger F_q by the formula computed once per argument tuple.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple):
@@ -231,10 +238,57 @@ class _BaseOps:
         self.e = e
         self.size = p**e
         self.modulus = modulus
+        self._log = self._exp = None  # the tables, when F_q has them
         if e > 1:
             self._pops = _BaseOps(p, 1, (0, 1))
-            for name in ("add", "sub", "neg", "mul", "inv"):
-                setattr(self, name, functools.cache(getattr(self, name)))
+            if self.size <= LOG_CAP:
+                self._build_tables()
+            else:
+                for name in ("add", "sub", "neg", "mul", "inv"):
+                    setattr(self, name, functools.cache(getattr(self, f"_{name}_digits")))
+
+    def _build_tables(self) -> None:
+        """exp and log of the least primitive g in int order, zech for odd p,
+        and the five operations on them."""
+        n = self.size - 1
+        for g in range(2, self.size):
+            exp = [1]
+            for _ in range(n - 1):
+                exp.append(self._mul_digits(exp[-1], g))
+                if exp[-1] == 1:
+                    break
+            else:
+                break  # g^1, ..., g^{n-1} differ from 1: g has order n
+        log = [2 * n] * self.size
+        for k, v in enumerate(exp):
+            log[v] = k
+        zech = [log[self._add_digits(1, v)] for v in exp] if self.p > 2 else None
+        exp = exp + exp + [0] * (2 * n + 1)
+        half = n // 2  # -1 = g^{n/2} for odd q
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]  # g^la (1 + g^{lb - la}); zech wraps mod n
+
+        def inv(a):
+            if a == 0:
+                raise DivisionByZero("inverse of 0 in F_q")
+            return exp[n - log[a]]
+
+        self.mul = lambda a, b: exp[log[a] + log[b]]
+        self.inv = inv
+        if self.p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = lambda a: a
+        else:
+            self.add = add
+            self.sub = lambda a, b: add(a, exp[log[b] + half])
+            self.neg = lambda a: exp[log[a] + half]
+        self._exp, self._log = exp, log
 
     def _unpack(self, a: int) -> tuple:
         p, out = self.p, []
@@ -249,51 +303,75 @@ class _BaseOps:
             v = v * self.p + d
         return v
 
+    # F_p
+
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._pack(poly_add(self._unpack(a), self._unpack(b), self._pops))
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._pack(poly_sub(self._unpack(a), self._unpack(b), self._pops))
+        return (a - b) % self.p
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        return self._pack(poly_sub((), self._unpack(a), self._pops))
+        return (-a) % self.p
 
     def mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = poly_mul(self._unpack(a), self._unpack(b), self._pops)
-        return self._pack(poly_mod(prod, self.modulus, self._pops))
+        return (a * b) % self.p
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_q")
-        if self.e == 1:
-            return pow(a, -1, self.p)
+        return pow(a, -1, self.p)
+
+    # F_q for e > 1, by the formulas over F_p on the digits
+
+    def _add_digits(self, a, b):
+        return self._pack(poly_add(self._unpack(a), self._unpack(b), self._pops))
+
+    def _sub_digits(self, a, b):
+        return self._pack(poly_sub(self._unpack(a), self._unpack(b), self._pops))
+
+    def _neg_digits(self, a):
+        return self._pack(poly_sub((), self._unpack(a), self._pops))
+
+    def _mul_digits(self, a, b):
+        prod = poly_mul(self._unpack(a), self._unpack(b), self._pops)
+        return self._pack(poly_mod(prod, self.modulus, self._pops))
+
+    def _inv_digits(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of 0 in F_q")
         return self._pack(poly_inv_mod(self._unpack(a), self.modulus, self._pops))
 
-    # row helpers: one call per row, and for e = 1 no method call per entry
+    # row helpers: one call per row, and no call per entry for e = 1 or for
+    # p = 2 with tables
 
     def scale_row(self, c, row) -> list:
         """c row, entrywise."""
         if self.e == 1:
             p = self.p
             return [c * v % p for v in row]
-        mul = self.mul
-        return [mul(c, v) for v in row]
+        log = self._log
+        if log is None:
+            mul = self.mul
+            return [mul(c, v) for v in row]
+        exp, lc = self._exp, log[c]
+        return [exp[lc + log[v]] for v in row]
 
     def sub_row(self, a, c, b) -> list:
         """a - c b, entrywise."""
         if self.e == 1:
             p = self.p
             return [(u - c * v) % p for u, v in zip(a, b)]
-        sub, mul = self.sub, self.mul
-        return [sub(u, mul(c, v)) for u, v in zip(a, b)]
+        log = self._log
+        if log is None:
+            sub, mul = self.sub, self.mul
+            return [sub(u, mul(c, v)) for u, v in zip(a, b)]
+        exp = self._exp
+        if self.p == 2:
+            lc = log[c]
+            return [u ^ exp[lc + log[v]] for u, v in zip(a, b)]
+        add, lc = self.add, log[self.neg(c)]
+        return [add(u, exp[lc + log[v]]) for u, v in zip(a, b)]
 
 
 class FieldCtx:
@@ -499,6 +577,24 @@ class FieldCtx:
                         res[t] += c * r
             p = self.p
             return tuple([v % p for v in res])
+        log = self._bops._log
+        if log is not None and self.p == 2:
+            # F_{2^e} on tables: a product is exp[log a + log b] and a sum XOR
+            exp = self._bops._exp
+            logs_y = [(j, log[b]) for j, b in enumerate(y) if b]
+            out = [0] * (2 * d - 1)
+            for i, a in enumerate(x):
+                if a:
+                    la = log[a]
+                    for j, lb in logs_y:
+                        out[i + j] ^= exp[la + lb]
+            res = out[:d]
+            for c, red in zip(out[d:], self._high_pows):
+                if c:
+                    lc = log[c]
+                    for t, r in red:
+                        res[t] ^= exp[lc + log[r]]
+            return tuple(res)
         add, mul = self._bops.add, self._bops.mul
         out = [0] * (2 * d - 1)
         for i, a in enumerate(x):
@@ -560,10 +656,13 @@ class FieldCtx:
         return x if k is None else self._exp[k * self._qpow[i] % self._n]
 
     def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
-        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates, for
-        e = 1 with one reduction mod p per coordinate."""
+        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates: for
+        e = 1 with one reduction mod p per coordinate, for p = 2 with tables
+        by log lookups and XOR."""
         d, p, prime = self.d, self.p, self.e == 1
-        add, mul = self._bops.add, self._bops.mul
+        ops = self._bops
+        add, mul, exp = ops.add, ops.mul, ops._exp
+        log = ops._log if p == 2 else None
         for _ in range(i % d):
             acc = [0] * d
             for c, row in zip(x, self._frob_y):
@@ -572,6 +671,10 @@ class FieldCtx:
                 if prime:
                     for t, r in row:
                         acc[t] += c * r
+                elif log is not None:
+                    lc = log[c]
+                    for t, r in row:
+                        acc[t] ^= exp[lc + log[r]]
                 else:
                     for t, r in row:
                         acc[t] = add(acc[t], mul(c, r))

@@ -91,11 +91,11 @@ class TowerPoint(Value):
     def __init__(self, variant: str, params: TowerParams, ctx: FieldCtx, coords: tuple):
         if variant not in ("F", "G", "H"):
             raise ValueError(f"unknown variant {variant!r}")
-        if any(x == ctx.zero for x in coords):
+        if ctx.zero in coords:
             raise ZeroPoint("tower coordinates must be nonzero")
-        pairs = zip(coords, coords[1:])
-        if any(y not in _level_candidates(params, ctx, variant, x) for x, y in pairs):
-            raise NotOnCurve(f"coordinates violate the {variant}-recursion")
+        for x, y in zip(coords, coords[1:]):
+            if y not in _level_candidates(params, ctx, variant, x):
+                raise NotOnCurve(f"coordinates violate the {variant}-recursion")
         self._assign(variant, params, ctx, coords)
 
     def to_json_dict(self) -> dict:
@@ -243,15 +243,17 @@ class RSU(Value):
 
 
 def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> RSU:
-    """R, S, u for a consecutive pair on the F-tower; verifies the trace relations."""
+    """R, S, u for a consecutive pair on the F-tower; verifies the F-recursion
+    and the trace relations."""
     if x == ctx.zero:
         raise ZeroPoint("rsu needs x != 0")
-    if eval_F(params, ctx, x, y) != ctx.zero:
-        raise NotOnCurve("(x, y) does not satisfy the F-recursion")
     j, k, a, b = params.j, params.k, params.a, params.b
     x_inv = ctx.inv(x)
     R = ctx.mul(y, ctx.frobenius(x_inv, k))
     S = ctx.mul(ctx.frobenius(y, j), x_inv)
+    # eval_F(x, y) = tr_j(R) + tr_k(S) - 1, from the same R and S
+    if ctx.add(ctx.trace_partial(R, j), ctx.trace_partial(S, k)) != ctx.one:
+        raise NotOnCurve("(x, y) does not satisfy the F-recursion")
     acc = ctx.zero
     for r in range(a):
         acc = ctx.add(acc, ctx.frobenius(R, r * k))

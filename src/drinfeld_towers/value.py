@@ -11,9 +11,17 @@ class Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each slot's member descriptor sets it past the blocking __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _assign(self, *values) -> None:
-        for name, v in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, v)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, got {len(values)} values")
+        for set_slot, v in zip(setters, values):
+            set_slot(self, v)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

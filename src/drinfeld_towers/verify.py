@@ -194,16 +194,10 @@ def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
 
         # random geometric solutions in the degree-2m ambient, seeded for determinism
         amb = params.field(2 * params.m)
-        rng = random.Random(f"{seed}-{tup}")
         failures = []
         cases = 0
-        nonzero = [x for x in amb.all_elements() if x != amb.zero]
-        while cases < 20:
-            x = rng.choice(nonzero)
-            ys = fiber_solutions(params, amb, x)
-            if not ys:
-                continue
-            y = rng.choice(ys)
+        pairs = _random_fiber_pairs(params, amb, random.Random(f"{seed}-{tup}"))
+        for x, y in itertools.islice(pairs, 20):
             cases += 1
             try:
                 rsu(params, amb, x, y)
@@ -211,6 +205,21 @@ def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
                 failures.append(f"x = {amb.format_elem(x)}, y = {amb.format_elem(y)}: {exc}")
         entries.append(_entry("rsu_random", params, 2 * params.m, cases, failures))
     return entries
+
+
+def _random_fiber_pairs(params: TowerParams, amb, rng: random.Random):
+    """Endless pairs (x, y): x uniform on amb's nonzero elements, redrawn while
+    its fiber is empty, and y uniform on the fiber.
+
+    `rng.choice(seq)` is `seq[rng.randrange(len(seq))]`, and the nonzero
+    elements listed in canonical order are from_int(1), from_int(2), ...; so
+    x draws what `choice` over that listing would, without listing the field.
+    """
+    while True:
+        x = amb.from_int(1 + rng.randrange(amb.q**amb.d - 1))
+        ys = fiber_solutions(params, amb, x)
+        if ys:
+            yield x, rng.choice(ys)
 
 
 _SUITE_FUNCS = {

@@ -112,6 +112,16 @@ class TestOtherCommands:
         rec = json.loads(out)
         assert code == 0 and rec["enumerated"] == rec["formula"] == 12
 
+    def test_out_of_memory_is_resource_limit(self, capsys, monkeypatch):
+        def exhausted(params, n):
+            raise MemoryError
+
+        monkeypatch.setattr("drinfeld_towers.cli.count_supersingular", exhausted)
+        code = main(["ss-count", "--p", "3", "--m", "9", "--j", "1", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.splitlines() == ["resource limit: out of memory"]
+
     def test_deep_listing_is_resource_limit(self, capsys):
         # level 18 would hold 3 * 2^17 chains, over the per-level point cap
         code, out = run(

@@ -262,10 +262,27 @@ def _schoolbook_mul(a, b, p, e, h):
 class TestBaseField:
     """F_q = F_p[x]/(h) against digit arithmetic written out here."""
 
-    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 5), (3, 3)])
     def test_ops_match_digit_oracle(self, p, e):
         ctx = make_field(p, e, 1)
-        ops, h, q = ctx._bops, ctx.base_modulus, ctx.q
+        assert ctx._bops._log is not None  # F_q on tables
+        self._match_digit_oracle(ctx._bops, ctx.base_modulus)
+
+    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2)])
+    def test_cached_formulas_match_digit_oracle(self, monkeypatch, p, e):
+        monkeypatch.setattr(field, "LOG_CAP", 0)
+        ops = _BaseOps(p, e, make_field(p, e, 1).base_modulus)
+        assert ops._log is None
+        self._match_digit_oracle(ops, ops.modulus)
+
+    @staticmethod
+    def _match_digit_oracle(ops, h):
+        p, e, q = ops.p, ops.e, ops.size
+        for b in range(q):
+            # the operands whose log is the zero sentinel
+            assert ops.mul(0, b) == ops.mul(b, 0) == 0
+            assert ops.add(0, b) == ops.add(b, 0) == ops.sub(b, 0) == b
+            assert ops.sub(0, b) == ops.neg(b)
         table = {}
         for a in range(q):
             da = _digits(a, p, e)
@@ -424,6 +441,51 @@ class TestFrobenius:
         for x, y in pairs:
             prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
             assert ctx._mul_coords(x, y) == ctx.element(prod)
+
+
+class TestNonPrimeBaseCoordinates:
+    """The coordinate path over F_q with e > 1: `_mul_coords` against
+    poly_mod(poly_mul(...)) and `_frobenius_coords(x, i)` against
+    `_pow_coords(x, q^i)`, with F_q on tables (LOG_CAP patched to q) and on
+    its cached formulas (LOG_CAP patched to 0)."""
+
+    @pytest.mark.parametrize("base_tables", [True, False], ids=["tables", "formulas"])
+    @pytest.mark.parametrize("p,e,d", [(2, 2, 6), (2, 3, 3), (3, 2, 3), (5, 2, 2)])
+    def test_against_oracles(self, monkeypatch, p, e, d, base_tables):
+        monkeypatch.setattr(field, "LOG_CAP", p**e if base_tables else 0)
+        ctx = FieldCtx(p, e, d)  # a fresh build, so the patched cap applies
+        assert ctx._log is None and (ctx._bops._log is not None) == base_tables
+        rng = random.Random(5)
+        size = ctx.q**d
+        full = ctx.from_int(size - 1)
+        els = [ctx.zero, ctx.one, full] + [ctx.from_int(rng.randrange(size)) for _ in range(150)]
+        for x, y in zip(els, els[1:] + els[:1]):
+            prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
+            assert ctx._mul_coords(x, y) == ctx.element(prod)
+        for x in els[:40]:
+            for i in range(d):
+                assert ctx._frobenius_coords(x, i) == ctx._pow_coords(x, ctx.q**i)
+
+    def test_f4_loops_call_no_base_op(self, monkeypatch):
+        # F_{4^6} is above LOG_CAP and F_4 is not: both loops index F_4's
+        # tables and add by XOR (a fresh build keeps the patches off the
+        # shared context)
+        ctx = FieldCtx(2, 2, 6)
+        ops = ctx._bops
+        rng = random.Random(6)
+        els = [ctx.from_int(rng.randrange(ctx.q**ctx.d)) for _ in range(100)]
+        expected = [(ctx._mul_coords(x, y), ctx._frobenius_coords(x, 5)) for x, y in zip(els, els[1:])]
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        names = ("add", "sub", "neg", "mul", "inv", "scale_row", "sub_row", "_unpack", "_pack")
+        for name in names + tuple(n for n in dir(_BaseOps) if n.endswith("_digits")):
+            monkeypatch.setattr(ops, name, counting(name, getattr(ops, name)))
+        got = [(ctx._mul_coords(x, y), ctx._frobenius_coords(x, 5)) for x, y in zip(els, els[1:])]
+        assert got == expected
+        assert calls == []
 
 
 def _check_log_keys(ctx, els):

@@ -341,6 +341,20 @@ class TestEnumeration:
         with pytest.raises(ZeroPoint):
             TowerPoint("F", P221, F4, (F4.one, F4.zero))
 
+    @pytest.mark.parametrize("variant", ["F", "G"])
+    def test_zero_and_off_curve_anywhere_rejected(self, variant):
+        ctx = P232.field(3)
+        good = enumerate_rational(P232, 3, variant)[5].coords
+        for i in range(3):
+            with pytest.raises(ZeroPoint):
+                TowerPoint(variant, P232, ctx, good[:i] + (ctx.zero,) + good[i + 1 :])
+        for i in (1, 2):
+            prev = good[i - 1]
+            bad = next(y for y in ctx.all_elements()
+                       if y != ctx.zero and y not in towers._level_candidates(P232, ctx, variant, prev))
+            with pytest.raises(NotOnCurve):
+                TowerPoint(variant, P232, ctx, good[:i] + (bad,) + good[i + 1 :])
+
 
 class TestRSU:
     def test_jk11_structure(self):
@@ -355,6 +369,24 @@ class TestRSU:
     def test_off_curve_rejected(self):
         with pytest.raises(NotOnCurve):
             rsu(P221, F4, F4.one, F4.one)
+
+    @pytest.mark.parametrize("params", [P232, P321])
+    def test_accepts_exactly_the_curve(self, params):
+        # rsu's own F-recursion check against eval_F, on every pair of F_{q^m}
+        ctx = params.field(params.m)
+        els = ctx.all_elements()
+        accepted = 0
+        for x in els[1:]:
+            for y in els:
+                on_curve = eval_F(params, ctx, x, y) == ctx.zero
+                if on_curve:
+                    r = rsu(params, ctx, x, y)
+                    assert r.R == ctx.mul(y, ctx.inv(ctx.frobenius(x, params.k)))
+                    accepted += 1
+                else:
+                    with pytest.raises(NotOnCurve, match="F-recursion"):
+                        rsu(params, ctx, x, y)
+        assert accepted == (params.q**params.m - 1) * params.q ** (params.m - 1)
 
     @pytest.mark.parametrize("params", [P221, P321, P232])
     def test_cross_level_identity(self, params):

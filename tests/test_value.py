@@ -53,6 +53,13 @@ class TestValueClasses:
         assert repr(obj).startswith(type(obj).__name__ + "(")
 
 
+@pytest.mark.parametrize("values", [(1, 2), (1, 2, 3, 4)], ids=["too-few", "too-many"])
+def test_assign_needs_one_value_per_field(values):
+    blank = RSU.__new__(RSU)
+    with pytest.raises(ValueError, match="3 fields"):
+        blank._assign(*values)
+
+
 def test_different_fields_differ():
     assert TowerParams(2, 1, 3, 1) != TowerParams(2, 1, 3, 2)
     assert DrinfeldModule(F4, 2, 1, W) != DrinfeldModule(F4, 2, 1, F4.one)
