@@ -6,12 +6,10 @@ tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
 For e > 1 each F_q operation is defined by its polynomial formula over F_p
-on the digits.  An F_q of at most `LOG_CAP` elements runs on log, antilog
-and (odd p) Zech tables that the formulas build once; for p = 2 the
-coordinate multiply and Frobenius loops below index them directly and add
-by XOR.  A larger F_q computes each formula once per argument tuple (see
-`_BaseOps`).  Inverses at both levels come from the one extended Euclid,
-`poly_inv_mod`.
+on the digits.  An F_{2^e} of at most `LOG_CAP` elements runs on log and
+antilog tables that the formulas build once, and adds by XOR; any other F_q
+computes each formula once per argument tuple (see `_BaseOps`).
+Inverses at both levels come from the one extended Euclid, `poly_inv_mod`.
 
 A field with at most `LOG_CAP` elements gets discrete-log tables for a
 primitive element g, in the small-field design of FLINT's `fq_zech`: with
@@ -225,12 +223,12 @@ class _BaseOps:
     e = 1 the five operations are the F_p methods below.  With e > 1 each is
     its polynomial formula over F_p on the digits (the `_*_digits` methods),
     which __init__ replaces:
-    - for q <= LOG_CAP by table lookups that the formulas build once.  With
-      n = q - 1 and a primitive g, exp[k] = g^(k mod n) below 2n and 0 from
-      2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b = exp[log a +
-      log b] needs no test for zero.  Sums are XOR of the packed digits for
-      p = 2 and Zech lookups, zech[k] = log(1 + g^k), for odd p;
-    - for a larger F_q by the formula computed once per argument tuple.
+    - for p = 2 and q <= LOG_CAP by table lookups that the formulas build
+      once.  With n = q - 1 and a primitive g, exp[k] = g^(k mod n) below 2n
+      and 0 from 2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b =
+      exp[log a + log b] needs no test for zero; a sum is the XOR of the
+      packed digits;
+    - otherwise by the formula computed once per argument tuple.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple):
@@ -238,18 +236,17 @@ class _BaseOps:
         self.e = e
         self.size = p**e
         self.modulus = modulus
-        self._log = self._exp = None  # the tables, when F_q has them
         if e > 1:
             self._pops = _BaseOps(p, 1, (0, 1))
-            if self.size <= LOG_CAP:
+            if p == 2 and self.size <= LOG_CAP:
                 self._build_tables()
             else:
                 for name in ("add", "sub", "neg", "mul", "inv"):
                     setattr(self, name, functools.cache(getattr(self, f"_{name}_digits")))
 
     def _build_tables(self) -> None:
-        """exp and log of the least primitive g in int order, zech for odd p,
-        and the five operations on them."""
+        """exp and log of the least primitive g in int order, and the five
+        operations of F_{2^e} on them."""
         n = self.size - 1
         for g in range(2, self.size):
             exp = [1]
@@ -262,17 +259,7 @@ class _BaseOps:
         log = [2 * n] * self.size
         for k, v in enumerate(exp):
             log[v] = k
-        zech = [log[self._add_digits(1, v)] for v in exp] if self.p > 2 else None
         exp = exp + exp + [0] * (2 * n + 1)
-        half = n // 2  # -1 = g^{n/2} for odd q
-
-        def add(a, b):
-            if not a:
-                return b
-            if not b:
-                return a
-            la = log[a]
-            return exp[la + zech[log[b] - la]]  # g^la (1 + g^{lb - la}); zech wraps mod n
 
         def inv(a):
             if a == 0:
@@ -281,14 +268,8 @@ class _BaseOps:
 
         self.mul = lambda a, b: exp[log[a] + log[b]]
         self.inv = inv
-        if self.p == 2:
-            self.add = self.sub = operator.xor
-            self.neg = lambda a: a
-        else:
-            self.add = add
-            self.sub = lambda a, b: add(a, exp[log[b] + half])
-            self.neg = lambda a: exp[log[a] + half]
-        self._exp, self._log = exp, log
+        self.add = self.sub = operator.xor
+        self.neg = lambda a: a
 
     def _unpack(self, a: int) -> tuple:
         p, out = self.p, []
@@ -342,36 +323,23 @@ class _BaseOps:
             raise DivisionByZero("inverse of 0 in F_q")
         return self._pack(poly_inv_mod(self._unpack(a), self.modulus, self._pops))
 
-    # row helpers: one call per row, and no call per entry for e = 1 or for
-    # p = 2 with tables
+    # row helpers: one call per row, and for e = 1 no method call per entry
 
     def scale_row(self, c, row) -> list:
         """c row, entrywise."""
         if self.e == 1:
             p = self.p
             return [c * v % p for v in row]
-        log = self._log
-        if log is None:
-            mul = self.mul
-            return [mul(c, v) for v in row]
-        exp, lc = self._exp, log[c]
-        return [exp[lc + log[v]] for v in row]
+        mul = self.mul
+        return [mul(c, v) for v in row]
 
     def sub_row(self, a, c, b) -> list:
         """a - c b, entrywise."""
         if self.e == 1:
             p = self.p
             return [(u - c * v) % p for u, v in zip(a, b)]
-        log = self._log
-        if log is None:
-            sub, mul = self.sub, self.mul
-            return [sub(u, mul(c, v)) for u, v in zip(a, b)]
-        exp = self._exp
-        if self.p == 2:
-            lc = log[c]
-            return [u ^ exp[lc + log[v]] for u, v in zip(a, b)]
-        add, lc = self.add, log[self.neg(c)]
-        return [add(u, exp[lc + log[v]]) for u, v in zip(a, b)]
+        sub, mul = self.sub, self.mul
+        return [sub(u, mul(c, v)) for u, v in zip(a, b)]
 
 
 class FieldCtx:
@@ -577,24 +545,6 @@ class FieldCtx:
                         res[t] += c * r
             p = self.p
             return tuple([v % p for v in res])
-        log = self._bops._log
-        if log is not None and self.p == 2:
-            # F_{2^e} on tables: a product is exp[log a + log b] and a sum XOR
-            exp = self._bops._exp
-            logs_y = [(j, log[b]) for j, b in enumerate(y) if b]
-            out = [0] * (2 * d - 1)
-            for i, a in enumerate(x):
-                if a:
-                    la = log[a]
-                    for j, lb in logs_y:
-                        out[i + j] ^= exp[la + lb]
-            res = out[:d]
-            for c, red in zip(out[d:], self._high_pows):
-                if c:
-                    lc = log[c]
-                    for t, r in red:
-                        res[t] ^= exp[lc + log[r]]
-            return tuple(res)
         add, mul = self._bops.add, self._bops.mul
         out = [0] * (2 * d - 1)
         for i, a in enumerate(x):
@@ -656,13 +606,10 @@ class FieldCtx:
         return x if k is None else self._exp[k * self._qpow[i] % self._n]
 
     def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
-        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates: for
-        e = 1 with one reduction mod p per coordinate, for p = 2 with tables
-        by log lookups and XOR."""
+        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates, for
+        e = 1 with one reduction mod p per coordinate."""
         d, p, prime = self.d, self.p, self.e == 1
-        ops = self._bops
-        add, mul, exp = ops.add, ops.mul, ops._exp
-        log = ops._log if p == 2 else None
+        add, mul = self._bops.add, self._bops.mul
         for _ in range(i % d):
             acc = [0] * d
             for c, row in zip(x, self._frob_y):
@@ -671,10 +618,6 @@ class FieldCtx:
                 if prime:
                     for t, r in row:
                         acc[t] += c * r
-                elif log is not None:
-                    lc = log[c]
-                    for t, r in row:
-                        acc[t] ^= exp[lc + log[r]]
                 else:
                     for t, r in row:
                         acc[t] = add(acc[t], mul(c, r))

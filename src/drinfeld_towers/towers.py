@@ -33,11 +33,17 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     """tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1; requires x != 0."""
     if x == ctx.zero:
         raise ZeroDenominator("x = 0 in the F-recursion")
+    return _rs(params, ctx, x, y)[2]
+
+
+def _rs(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> tuple:
+    """R = y/x^{q^k}, S = y^{q^j}/x and the F-recursion tr_j(R) + tr_k(S) - 1
+    at (x, y); x != 0."""
     j, k = params.j, params.k
     x_inv = ctx.inv(x)
-    t1 = ctx.trace_partial(ctx.mul(y, ctx.frobenius(x_inv, k)), j)
-    t2 = ctx.trace_partial(ctx.mul(ctx.frobenius(y, j), x_inv), k)
-    return ctx.sub(ctx.add(t1, t2), ctx.one)
+    R = ctx.mul(y, ctx.frobenius(x_inv, k))
+    S = ctx.mul(ctx.frobenius(y, j), x_inv)
+    return R, S, ctx.sub(ctx.add(ctx.trace_partial(R, j), ctx.trace_partial(S, k)), ctx.one)
 
 
 def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> FieldElem:
@@ -248,11 +254,8 @@ def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> RSU:
     if x == ctx.zero:
         raise ZeroPoint("rsu needs x != 0")
     j, k, a, b = params.j, params.k, params.a, params.b
-    x_inv = ctx.inv(x)
-    R = ctx.mul(y, ctx.frobenius(x_inv, k))
-    S = ctx.mul(ctx.frobenius(y, j), x_inv)
-    # eval_F(x, y) = tr_j(R) + tr_k(S) - 1, from the same R and S
-    if ctx.add(ctx.trace_partial(R, j), ctx.trace_partial(S, k)) != ctx.one:
+    R, S, f = _rs(params, ctx, x, y)
+    if f != ctx.zero:
         raise NotOnCurve("(x, y) does not satisfy the F-recursion")
     acc = ctx.zero
     for r in range(a):
