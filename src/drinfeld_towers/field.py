@@ -5,11 +5,12 @@ an element of F_q packed as an integer in [0, q) via base-p digits.  The
 tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
-For e > 1 each F_q operation is defined by its polynomial formula over F_p
-on the digits.  An F_{2^e} of at most `LOG_CAP` elements runs on log and
-antilog tables that the formulas build once, and adds by XOR; any other F_q
-computes each formula once per argument tuple (see `_BaseOps`).
-Inverses at both levels come from the one extended Euclid, `poly_inv_mod`.
+For e > 1, F_q is itself a field of this module, `FieldCtx(p, 1, e)`, whose
+`to_int` is the base-p digit packing.  An F_{2^e} of at most `LOG_CAP`
+elements runs on int copies of that field's log and antilog tables and adds
+by XOR; any other F_q computes each of that field's operations once per
+argument tuple (see `_BaseOps`).  Inverses outside the tables come from the
+one extended Euclid, `poly_inv_mod`.
 
 A field with at most `LOG_CAP` elements gets discrete-log tables for a
 primitive element g, in the small-field design of FLINT's `fq_zech`: with
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ContextMismatch,
@@ -219,43 +220,39 @@ def _sparse(v: Sequence[int]) -> tuple:
 class _BaseOps:
     """Arithmetic on F_q = F_p[x]/(h), elements packed as ints in [0, q).
 
-    Packing: value = sum(digit_i * p^i) over the coefficients of x^i.  With
-    e = 1 the five operations are the F_p methods below.  With e > 1 each is
-    its polynomial formula over F_p on the digits (the `_*_digits` methods),
-    which __init__ replaces:
-    - for p = 2 and q <= LOG_CAP by table lookups that the formulas build
-      once.  With n = q - 1 and a primitive g, exp[k] = g^(k mod n) below 2n
-      and 0 from 2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b =
+    With e = 1 the five operations are the F_p methods below.  With e > 1,
+    F_q is the field `FieldCtx(p, 1, e)`: h is its modulus and the packing
+    is its `to_int` (value = sum(digit_i * p^i) over the coefficients of
+    x^i).  __init__ replaces the five operations:
+    - for p = 2 and q <= LOG_CAP by int lookups read off that field's
+      tables.  With n = q - 1 and its primitive g, exp[k] = g^(k mod n) below
+      2n and 0 from 2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b =
       exp[log a + log b] needs no test for zero; a sum is the XOR of the
       packed digits;
-    - otherwise by the formula computed once per argument tuple.
+    - otherwise by that field's operation, computed once per argument tuple.
     """
 
-    def __init__(self, p: int, e: int, modulus: tuple):
+    def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
         self.size = p**e
-        self.modulus = modulus
-        if e > 1:
-            self._pops = _BaseOps(p, 1, (0, 1))
-            if p == 2 and self.size <= LOG_CAP:
-                self._build_tables()
-            else:
-                for name in ("add", "sub", "neg", "mul", "inv"):
-                    setattr(self, name, functools.cache(getattr(self, f"_{name}_digits")))
+        if e == 1:
+            self.modulus = (0, 1)  # x, the least monic of degree 1
+            return
+        f = FieldCtx(p, 1, e)  # a fresh build, so a patched LOG_CAP applies
+        self.modulus = f.ext_modulus
+        self._unpack, self._pack = f.from_int, f.to_int
+        if p == 2 and f._log is not None:
+            self._use_tables([f.to_int(x) for x in f._exp[: self.size - 1]])
+            return
+        for name in ("add", "sub", "neg", "mul", "inv"):
+            op = getattr(f, name)
+            lifted = lambda *a, op=op: self._pack(op(*map(self._unpack, a)))
+            setattr(self, name, functools.cache(lifted))
 
-    def _build_tables(self) -> None:
-        """exp and log of the least primitive g in int order, and the five
-        operations of F_{2^e} on them."""
+    def _use_tables(self, exp: list) -> None:
+        """The five operations of F_{2^e} on exp = [g^0, ..., g^{n-1}]."""
         n = self.size - 1
-        for g in range(2, self.size):
-            exp = [1]
-            for _ in range(n - 1):
-                exp.append(self._mul_digits(exp[-1], g))
-                if exp[-1] == 1:
-                    break
-            else:
-                break  # g^1, ..., g^{n-1} differ from 1: g has order n
         log = [2 * n] * self.size
         for k, v in enumerate(exp):
             log[v] = k
@@ -271,20 +268,13 @@ class _BaseOps:
         self.add = self.sub = operator.xor
         self.neg = lambda a: a
 
+    # F_p; an element is its one digit
+
     def _unpack(self, a: int) -> tuple:
-        p, out = self.p, []
-        for _ in range(self.e):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+        return (a,)
 
-    def _pack(self, digits: Iterable[int]) -> int:
-        v = 0
-        for d in reversed(list(digits)):
-            v = v * self.p + d
-        return v
-
-    # F_p
+    def _pack(self, digits: Sequence[int]) -> int:
+        return digits[0]
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -302,26 +292,6 @@ class _BaseOps:
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_q")
         return pow(a, -1, self.p)
-
-    # F_q for e > 1, by the formulas over F_p on the digits
-
-    def _add_digits(self, a, b):
-        return self._pack(poly_add(self._unpack(a), self._unpack(b), self._pops))
-
-    def _sub_digits(self, a, b):
-        return self._pack(poly_sub(self._unpack(a), self._unpack(b), self._pops))
-
-    def _neg_digits(self, a):
-        return self._pack(poly_sub((), self._unpack(a), self._pops))
-
-    def _mul_digits(self, a, b):
-        prod = poly_mul(self._unpack(a), self._unpack(b), self._pops)
-        return self._pack(poly_mod(prod, self.modulus, self._pops))
-
-    def _inv_digits(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0 in F_q")
-        return self._pack(poly_inv_mod(self._unpack(a), self.modulus, self._pops))
 
     # row helpers: one call per row, and for e = 1 no method call per entry
 
@@ -361,8 +331,8 @@ class FieldCtx:
         self.d = d
         self._hash = hash((p, e, d))  # every cached successor lookup hashes its field
         self.q = p**e
-        self.base_modulus = least_irreducible(e, _BaseOps(p, 1, (0, 1)))
-        self._bops = _BaseOps(p, e, self.base_modulus)
+        self._bops = _BaseOps(p, e)
+        self.base_modulus = self._bops.modulus
         self.ext_modulus = least_irreducible(d, self._bops)
         self.zero: FieldElem = (0,) * d
         self.one: FieldElem = tuple([1] + [0] * (d - 1))
@@ -508,7 +478,7 @@ class FieldCtx:
 
     def _add_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
         """Plain ints mod p for e = 1, XOR of packed digits for p = 2, else
-        the cached F_q addition per coordinate."""
+        F_q's addition (`_BaseOps.add`) per coordinate."""
         if self.e == 1:
             p = self.p
             return tuple([(a + b) % p for a, b in zip(x, y)])

@@ -88,16 +88,10 @@ def _trial_division_irreducible(f, ops):
     return True
 
 
-def _coefficient_ops(p, e):
-    """F_q = F_p[x]/(h) with h the least irreducible, as FieldCtx builds it."""
-    fp = _BaseOps(p, 1, (0, 1))
-    return fp if e == 1 else _BaseOps(p, e, least_irreducible(e, fp))
-
-
 class TestIrreducibility:
     @pytest.mark.parametrize("p,e,max_deg", [(2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3), (3, 2, 3)])
     def test_ben_or_matches_trial_division(self, p, e, max_deg):
-        ops = _coefficient_ops(p, e)
+        ops = _BaseOps(p, e)
         assert not _is_irreducible((), ops)
         for deg in range(max_deg + 1):  # degree 0 is the constant 1
             for idx in range(ops.size**deg):
@@ -126,7 +120,22 @@ class TestIrreducibility:
         ],
     )
     def test_least_irreducible_pinned(self, p, e, d, modulus):
-        assert least_irreducible(d, _coefficient_ops(p, e)) == modulus
+        assert least_irreducible(d, _BaseOps(p, e)) == modulus
+
+    # h of F_q = F_p[x]/(h), which `_BaseOps` takes from the field F_{p^e}
+    @pytest.mark.parametrize(
+        "p,e,modulus",
+        [
+            (2, 2, (1, 1, 1)),
+            (2, 3, (1, 1, 0, 1)),
+            (2, 4, (1, 1, 0, 0, 1)),
+            (3, 2, (1, 0, 1)),
+            (3, 3, (1, 2, 0, 1)),
+            (5, 2, (2, 0, 1)),
+        ],
+    )
+    def test_base_modulus_pinned(self, p, e, modulus):
+        assert FieldCtx(p, e, 1).base_modulus == FieldCtx(p, 1, e).ext_modulus == modulus
 
     def test_search_makes_few_divisions(self, monkeypatch):
         # trial division makes 4,657 divisions here
@@ -138,7 +147,7 @@ class TestIrreducibility:
             return divmod_(a, b, ops)
 
         monkeypatch.setattr(field, "poly_divmod", counting_divmod)
-        modulus = least_irreducible(10, _BaseOps(5, 1, (0, 1)))
+        modulus = least_irreducible(10, _BaseOps(5, 1))
         assert modulus == (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
         assert len(calls) < 1000
 
@@ -272,7 +281,7 @@ class TestBaseField:
     @pytest.mark.parametrize("p,e", [(2, 3), (2, 4)])
     def test_cached_formulas_match_digit_oracle(self, monkeypatch, p, e):
         monkeypatch.setattr(field, "LOG_CAP", 0)
-        ops = _BaseOps(p, e, make_field(p, e, 1).base_modulus)
+        ops = _BaseOps(p, e)
         assert not _base_tabled(ops)
         self._match_digit_oracle(ops, ops.modulus)
 
@@ -304,18 +313,23 @@ class TestBaseField:
                 ops.inv(0)
 
     def test_digit_work_once_per_argument_tuple(self, monkeypatch):
+        # the work of F_q's operations is done in the field F_{p^e}, which
+        # unpacks every int argument with its from_int
         calls = []
-        unpack = _BaseOps._unpack
+        from_int = FieldCtx.from_int
 
-        def counting_unpack(self, a):
-            calls.append(a)
-            return unpack(self, a)
+        def counting_from_int(self, v):
+            calls.append((self.p, self.e, self.d))
+            return from_int(self, v)
 
-        monkeypatch.setattr(_BaseOps, "_unpack", counting_unpack)
-        # fresh contexts, so no other test has warmed their caches; for p = 2
-        # add and sub are XOR, so F_{9^2} is the one whose add/sub/neg use F_q
-        for ctx in (FieldCtx(2, 2, 3), FieldCtx(3, 2, 2)):
+        monkeypatch.setattr(FieldCtx, "from_int", counting_from_int)
+        # fresh contexts, so no other test has warmed their caches, counted
+        # from their build, where a tabled F_{q^d} makes all its F_q calls;
+        # for p = 2 add and sub are XOR, so F_{9^2} is the one whose
+        # add/sub/neg use F_q
+        for p, e, d in ((2, 2, 3), (3, 2, 2)):
             calls.clear()
+            ctx = FieldCtx(p, e, d)
             els = ctx.all_elements()
             for _ in range(2):
                 for x in els:
@@ -326,12 +340,15 @@ class TestBaseField:
                     ctx.neg(x)
                     if x != ctx.zero:
                         ctx.inv(x)
-            # at most two unpacks per (add, sub, neg, mul, inv) argument tuple
-            assert len(calls) <= 2 * 5 * ctx.q**2
+            # at most two unpacks per (add, sub, neg, mul, inv) argument tuple,
+            # and some wherever F_q runs on its cached operations
+            unpacks = calls.count((ctx.p, 1, ctx.e))
+            assert unpacks <= 2 * 5 * ctx.q**2
+            assert unpacks > 0 or _base_tabled(ctx._bops)
 
     def test_digit_work_once_per_argument_tuple_without_tables(self, monkeypatch):
         # the same bound with every table off, so that F_{2^e} too runs on
-        # its cached formulas and the extension fields on coordinates
+        # its cached operations and the extension fields on coordinates
         monkeypatch.setattr(field, "LOG_CAP", 0)
         self.test_digit_work_once_per_argument_tuple(monkeypatch)
 
@@ -454,7 +471,7 @@ class TestNonPrimeBaseCoordinates:
     """The coordinate path over F_q with e > 1: `_mul_coords` against
     poly_mod(poly_mul(...)) and `_frobenius_coords(x, i)` against
     `_pow_coords(x, q^i)`, with F_q on tables (LOG_CAP patched to q) and on
-    its cached formulas (LOG_CAP patched to 0).  Only F_{2^e} has tables."""
+    its cached operations (LOG_CAP patched to 0).  Only F_{2^e} has tables."""
 
     @pytest.mark.parametrize(
         "p,e,d,base_tables",
@@ -477,14 +494,14 @@ class TestNonPrimeBaseCoordinates:
 
     def test_f4_base_on_tables(self):
         # F_{4^6} is above LOG_CAP and F_4 is not: the coordinate loops run
-        # on F_4's log/antilog lookups and XOR, not on the cached formulas
+        # on F_4's log/antilog lookups and XOR, not on the cached operations
         ops = make_field(2, 2, 6)._bops
         assert _base_tabled(ops)
         assert not any(hasattr(getattr(ops, name), "cache_info") for name in ("add", "sub", "neg", "mul", "inv"))
 
 
 def _base_tabled(ops):
-    """F_q runs on its tables: addition is XOR rather than a cached formula."""
+    """F_q runs on its tables: addition is XOR rather than a cached operation."""
     return ops.add is operator.xor
 
 
@@ -687,9 +704,15 @@ class TestTextForm:
         assert f4.format_elem(w) == "[0,1]"
         assert f4.parse_elem("[0,1]") == w
 
-    def test_roundtrip(self, f9):
-        for x in f9.all_elements():
-            assert f9.parse_elem(f9.format_elem(x)) == x
+    # F_{3^2} (e = 1), and e > 1 with F_q on tables (F_{4^3}) and on its
+    # cached operations (F_{9^2})
+    @pytest.mark.parametrize("p,e,d", [(3, 1, 2), (2, 2, 3), (3, 2, 2)])
+    def test_roundtrip(self, p, e, d):
+        ctx = make_field(p, e, d)
+        for x in ctx.all_elements():
+            text = ctx.format_elem(x)
+            assert text == "[" + ",".join(str(t) for c in x for t in _digits(c, p, e)) + "]"
+            assert ctx.parse_elem(text) == x
 
 
 class TestEmbedding:
