@@ -13,7 +13,7 @@ import math
 import sys
 
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
-from .field import size_cap
+from .field import is_prime, size_cap
 from .isogeny import TowerParams
 from .towers import count_supersingular, fiber_solutions, ihara_bound, iter_rational
 from .value import Value
@@ -85,19 +85,28 @@ def cmd_fibers(cfg: RunConfig, out) -> int:
         "x": ctx.format_elem(x),
         "solutions": [ctx.format_elem(y) for y in ys],
     }
-    print(json.dumps(record, sort_keys=True), file=out)
+    print(_JSON.encode(record), file=out)
     return EXIT_OK
+
+
+def _digit_limit(what: str, log10: float) -> SizeCapExceeded:
+    """The error for a value past the interpreter's int-to-decimal limit
+    (sys.get_int_max_str_digits), raised at once if the value is known to be
+    at least 10**log10 and so can never be printed."""
+    limit = sys.get_int_max_str_digits()
+    error = SizeCapExceeded(f"{what} has more than {limit} decimal digits")
+    if limit and log10 >= limit:
+        raise error
+    return error
 
 
 def cmd_ss_count(cfg: RunConfig, out) -> int:
     params = _params(cfg)
-    # the record holds the formula (q^m-1) q^{(m-1)(n-1)}; past the interpreter's
-    # int-to-decimal limit it cannot be printed, so stop before walking that deep
-    # (the factor q^m-1 >= 3 outweighs any rounding in the estimate)
-    limit = sys.get_int_max_str_digits()
-    too_long = f"the level-{cfg.n} count has more than {limit} decimal digits"
-    if limit and (params.m - 1) * (cfg.n - 1) * math.log10(params.q) >= limit:
-        raise SizeCapExceeded(too_long)
+    # the record holds the formula (q^m-1) q^{(m-1)(n-1)}; stop before walking
+    # deeper than it can be printed (the factor q^m-1 >= 3 outweighs any
+    # rounding in the estimate)
+    digits = (params.m - 1) * (cfg.n - 1) * math.log10(params.q)
+    too_long = _digit_limit(f"the level-{cfg.n} count", digits)
     count, formula = count_supersingular(params, cfg.n)
     record = {
         "config": cfg.to_dict(),
@@ -106,9 +115,9 @@ def cmd_ss_count(cfg: RunConfig, out) -> int:
         "match": count == formula,
     }
     try:
-        text = json.dumps(record, sort_keys=True)
+        text = _JSON.encode(record)
     except ValueError:  # an int past the same limit
-        raise SizeCapExceeded(too_long) from None
+        raise too_long from None
     print(text, file=out)
     return EXIT_OK if count == formula else EXIT_FAILURE
 
@@ -120,13 +129,22 @@ def cmd_verify(cfg: RunConfig, out) -> int:
         grid = DEFAULT_GRID
     report = run_suite(cfg.suite, grid, seed=cfg.seed)
     doc = {"config": cfg.to_dict(), "report": report}
-    print(json.dumps(doc, sort_keys=True), file=out)
+    print(_JSON.encode(doc), file=out)
     return EXIT_OK if total_failures(report) == 0 else EXIT_FAILURE
 
 
 def cmd_bound(cfg: RunConfig, out) -> int:
+    # the reduced numerator is at least the bound, about 2 p^m, so a large m is
+    # refused before the arithmetic; an invalid p or m is left to ihara_bound,
+    # so it stays a usage error however large m is
+    valid = cfg.m >= 1 and is_prime(cfg.p)
+    too_long = _digit_limit("the bound's numerator", cfg.m * math.log10(cfg.p) if valid else 0)
     v = ihara_bound(cfg.p, cfg.m)
-    print(f"{v.numerator}/{v.denominator}", file=out)
+    try:
+        text = f"{v.numerator}/{v.denominator}"
+    except ValueError:  # an int past the same limit
+        raise too_long from None
+    print(text, file=out)
     return EXIT_OK
 
 

@@ -6,11 +6,11 @@ tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
 For e > 1, F_q is itself a field of this module, `FieldCtx(p, 1, e)`, whose
-`to_int` is the base-p digit packing.  An F_{2^e} of at most `LOG_CAP`
-elements runs on int copies of that field's log and antilog tables and adds
-by XOR; any other F_q computes each of that field's operations once per
-argument tuple (see `_BaseOps`).  Inverses outside the tables come from the
-one extended Euclid, `poly_inv_mod`.
+`to_int` is the base-p digit packing, so for p = 2 a sum of packed ints is
+their XOR.  An F_{2^e} of at most `LOG_CAP` elements multiplies on int copies
+of that field's log and antilog tables; any other F_q computes each of that
+field's remaining operations once per argument tuple (see `_BaseOps`).
+Inverses outside the tables come from the one extended Euclid, `poly_inv_mod`.
 
 A field with at most `LOG_CAP` elements gets discrete-log tables for a
 primitive element g, in the small-field design of FLINT's `fq_zech`: with
@@ -19,8 +19,10 @@ zech[k] = log(1 + g^k), every operation is one lookup, addition included,
 since g^a + g^b = g^{a + zech[b - a]} (Huber, "Some comments on Zech's
 logarithms", IEEE Trans. IT 1990).  Larger fields use the coordinate
 arithmetic (`_add_coords`, `_mul_coords`, `_pow_coords`, `_frobenius_coords`),
-which also builds the tables and serves as their test oracle.  The cap is low
-because tables cost memory and build time that few operations repay.
+which also builds the tables and serves as their test oracle.  A product's
+fold of y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples of
+sparse rows, in the one loop `_BaseOps.combine`.  The cap is low because
+tables cost memory and build time that few operations repay.
 
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
@@ -67,7 +69,30 @@ def size_cap() -> int:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Deterministic Miller-Rabin to the prime bases 2, ..., 41, which is exact
+    below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017); at or
+    above psi_13 it raises SizeCapExceeded."""
+    psi13 = 3_317_044_064_679_887_385_961_981
+    if n >= psi13:
+        raise SizeCapExceeded(f"primality is decided only below {psi13}, got {n}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s, odd = 0, n - 1  # n - 1 = 2^s odd
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    for a in bases:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> list:
@@ -224,11 +249,12 @@ class _BaseOps:
     F_q is the field `FieldCtx(p, 1, e)`: h is its modulus and the packing
     is its `to_int` (value = sum(digit_i * p^i) over the coefficients of
     x^i).  __init__ replaces the five operations:
-    - for p = 2 and q <= LOG_CAP by int lookups read off that field's
-      tables.  With n = q - 1 and its primitive g, exp[k] = g^(k mod n) below
-      2n and 0 from 2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b =
-      exp[log a + log b] needs no test for zero; a sum is the XOR of the
-      packed digits;
+    - for every F_{2^e}, add and sub by XOR of the packed digits and neg by
+      the identity;
+    - for p = 2 and q <= LOG_CAP, mul and inv by int lookups read off that
+      field's tables.  With n = q - 1 and its primitive g, exp[k] =
+      g^(k mod n) below 2n and 0 from 2n to 4n, and log = exp^{-1} with
+      log 0 = 2n, so a b = exp[log a + log b] needs no test for zero;
     - otherwise by that field's operation, computed once per argument tuple.
     """
 
@@ -242,16 +268,21 @@ class _BaseOps:
         f = FieldCtx(p, 1, e)  # a fresh build, so a patched LOG_CAP applies
         self.modulus = f.ext_modulus
         self._unpack, self._pack = f.from_int, f.to_int
-        if p == 2 and f._log is not None:
-            self._use_tables([f.to_int(x) for x in f._exp[: self.size - 1]])
-            return
-        for name in ("add", "sub", "neg", "mul", "inv"):
+        names = ("add", "sub", "neg", "mul", "inv")
+        if p == 2:  # digits add mod 2, so a sum of packed ints is their XOR
+            self.add = self.sub = operator.xor
+            self.neg = lambda a: a
+            if f._log is not None:
+                self._use_tables([f.to_int(x) for x in f._exp[: self.size - 1]])
+                return
+            names = ("mul", "inv")
+        for name in names:
             op = getattr(f, name)
             lifted = lambda *a, op=op: self._pack(op(*map(self._unpack, a)))
             setattr(self, name, functools.cache(lifted))
 
     def _use_tables(self, exp: list) -> None:
-        """The five operations of F_{2^e} on exp = [g^0, ..., g^{n-1}]."""
+        """mul and inv of F_{2^e} on exp = [g^0, ..., g^{n-1}]."""
         n = self.size - 1
         log = [2 * n] * self.size
         for k, v in enumerate(exp):
@@ -265,8 +296,6 @@ class _BaseOps:
 
         self.mul = lambda a, b: exp[log[a] + log[b]]
         self.inv = inv
-        self.add = self.sub = operator.xor
-        self.neg = lambda a: a
 
     # F_p; an element is its one digit
 
@@ -310,6 +339,24 @@ class _BaseOps:
             return [(u - c * v) % p for u, v in zip(a, b)]
         sub, mul = self.sub, self.mul
         return [sub(u, mul(c, v)) for u, v in zip(a, b)]
+
+    def combine(self, acc, coeffs, rows) -> tuple:
+        """acc + sum of c row over coeffs and sparse (index, entry) rows; for
+        e = 1 the sums run on plain ints, reduced mod p once at the end."""
+        acc = list(acc)
+        if self.e == 1:
+            for c, row in zip(coeffs, rows):
+                if c:
+                    for t, r in row:
+                        acc[t] += c * r
+            p = self.p
+            return tuple([v % p for v in acc])
+        add, mul = self.add, self.mul
+        for c, row in zip(coeffs, rows):
+            if c:
+                for t, r in row:
+                    acc[t] = add(acc[t], mul(c, r))
+        return tuple(acc)
 
 
 class FieldCtx:
@@ -477,15 +524,12 @@ class FieldCtx:
         return x if k is None else self._exp[k + self._half]
 
     def _add_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        """Plain ints mod p for e = 1, XOR of packed digits for p = 2, else
-        F_q's addition (`_BaseOps.add`) per coordinate."""
+        """Plain ints mod p for e = 1, else F_q's addition (`_BaseOps.add`)
+        per coordinate."""
         if self.e == 1:
             p = self.p
             return tuple([(a + b) % p for a, b in zip(x, y)])
-        if self.p == 2:
-            return tuple([a ^ b for a, b in zip(x, y)])
-        add = self._bops.add
-        return tuple([add(a, b) for a, b in zip(x, y)])
+        return tuple(map(self._bops.add, x, y))
 
     def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
         log = self._log
@@ -502,32 +546,21 @@ class FieldCtx:
         For e = 1 and d (p-1)^2 < 256 the convolution is one int product of
         the coordinate vectors packed a byte per coefficient (Kronecker
         substitution): no sum overflows its byte, so the bytes of the product
-        are the sums, and each coordinate is reduced mod p once.
+        are the sums.
         """
-        d = self.d
+        d, ops = self.d, self._bops
         if self.e == 1 and d * (self.p - 1) ** 2 < 256:
             prod = int.from_bytes(bytes(x), "little") * int.from_bytes(bytes(y), "little")
             out = prod.to_bytes(2 * d, "little")
-            res = list(out[:d])
-            for c, red in zip(out[d:], self._high_pows):
-                if c:
-                    for t, r in red:
-                        res[t] += c * r
-            p = self.p
-            return tuple([v % p for v in res])
-        add, mul = self._bops.add, self._bops.mul
-        out = [0] * (2 * d - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
-        res = out[:d]
-        for c, red in zip(out[d:], self._high_pows):
-            if c:
-                for t, r in red:
-                    res[t] = add(res[t], mul(c, r))
-        return tuple(res)
+        else:
+            add, mul = ops.add, ops.mul
+            out = [0] * (2 * d - 1)
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y):
+                        if b:
+                            out[i + j] = add(out[i + j], mul(a, b))
+        return ops.combine(out[:d], out[d:], self._high_pows)
 
     def base_scale(self, b: int, x: FieldElem) -> FieldElem:
         return tuple(self._bops.scale_row(b, x))
@@ -576,22 +609,11 @@ class FieldCtx:
         return x if k is None else self._exp[k * self._qpow[i] % self._n]
 
     def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
-        """x^{q^i}; F_q-linear, so computed as a linear map on coordinates, for
-        e = 1 with one reduction mod p per coordinate."""
-        d, p, prime = self.d, self.p, self.e == 1
-        add, mul = self._bops.add, self._bops.mul
-        for _ in range(i % d):
-            acc = [0] * d
-            for c, row in zip(x, self._frob_y):
-                if c == 0:
-                    continue
-                if prime:
-                    for t, r in row:
-                        acc[t] += c * r
-                else:
-                    for t, r in row:
-                        acc[t] = add(acc[t], mul(c, r))
-            x = tuple([v % p for v in acc]) if prime else tuple(acc)
+        """x^{q^i}: x -> x^q fixes F_q, so each step is the F_q-linear map
+        sending the coordinates of x to their combination of `_frob_y`."""
+        combine, rows = self._bops.combine, self._frob_y
+        for _ in range(i % self.d):
+            x = combine(self.zero, x, rows)
         return x
 
     def trace_partial(self, x: FieldElem, l: int) -> FieldElem:
@@ -709,9 +731,5 @@ def embed(x: FieldElem, src: FieldCtx, dst: FieldCtx) -> FieldElem:
         powers = [dst.one]
         for _ in range(src.d - 1):
             powers.append(dst.mul(powers[-1], root))
-        _embed_cache[key] = powers
-    acc = dst.zero
-    for t, c in enumerate(x):
-        if c:
-            acc = dst.add(acc, dst.base_scale(c, powers[t]))
-    return acc
+        _embed_cache[key] = powers = [_sparse(v) for v in powers]
+    return dst._bops.combine(dst.zero, x, powers)

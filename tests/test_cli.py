@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from drinfeld_towers.cli import RunConfig, main
 from drinfeld_towers.field import is_prime
 from drinfeld_towers.isogeny import TowerParams
-from drinfeld_towers.towers import TowerPoint
+from drinfeld_towers.towers import TowerPoint, ihara_bound
 from drinfeld_towers.verify import SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -210,6 +211,45 @@ class TestOtherCommands:
     def test_bound_rejects_composite(self, capsys):
         code, _ = run(capsys, "bound", "--p", "6", "--m", "1")
         assert code == 2
+
+    # m = 14,000 passes the digit estimate and stops at printing; the other
+    # two stop before the arithmetic
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--p", "2", "--m", "14000"],
+            ["bound", "--p", "2", "--m", "100000000"],
+            ["ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "1000000000"],
+        ],
+        ids=["bound-printing", "bound-estimate", "ss-count-estimate"],
+    )
+    def test_unprintable_value_is_resource_limit(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and elapsed < 1
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("resource limit: ")
+
+    def test_bound_of_a_composite_stays_usage_error_however_large_m(self, capsys):
+        code = main(["bound", "--p", "4", "--m", "100000000"])
+        assert code == 2 and capsys.readouterr().err == "invalid input: 4 is not prime\n"
+
+    def test_large_prime(self, capsys):
+        # 10^24 + 7 is prime and below the primality limit
+        p = 10**24 + 7
+        start = time.perf_counter()
+        code, out = run(capsys, "bound", "--p", str(p), "--m", "2")
+        assert code == 0 and time.perf_counter() - start < 1
+        v = ihara_bound(p, 2)
+        assert out == f"{v.numerator}/{v.denominator}\n"
+
+    def test_prime_past_primality_limit_is_resource_limit(self, capsys):
+        start = time.perf_counter()
+        code = main(["points", "--p", str(10**30 + 57), "--m", "2", "--j", "1", "--n", "1", "--variant", "F"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and time.perf_counter() - start < 1
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("resource limit: ")
 
 
 class TestVerifyCommand:

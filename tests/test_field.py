@@ -57,6 +57,31 @@ class TestConstruction:
         with pytest.raises(NotPrime):
             make_field(6, 1, 1)
 
+    def test_is_prime_matches_trial_division(self):
+        for n in range(10**5):
+            assert field.is_prime(n) == (n >= 2 and field._prime_factors(n) == [n])
+
+    @pytest.mark.parametrize(
+        "n,prime",
+        [
+            (561, False),  # a Carmichael number
+            (3_215_031_751, False),  # a strong pseudoprime to 2, 3, 5 and 7
+            (399_165_290_221 * 798_330_580_441, False),  # psi_12: fools every base up to 37
+            (2**61 - 1, True),
+            (10**24 + 7, True),
+            (3_317_044_064_679_887_385_961_979, False),  # psi_13 - 2, which 17 divides
+        ],
+    )
+    def test_is_prime_values(self, n, prime):
+        assert field.is_prime(n) == prime
+
+    @pytest.mark.parametrize("n", [1_287_836_182_261 * 2_575_672_364_521, 10**30 + 57])
+    def test_is_prime_refuses_from_psi13_on(self, n):
+        # psi_13 is a strong pseudoprime to every base up to 41: from it on
+        # the test would not be exact, so it answers neither way
+        with pytest.raises(SizeCapExceeded):
+            field.is_prime(n)
+
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             make_field(2, 1, 64)
@@ -283,6 +308,7 @@ class TestBaseField:
         monkeypatch.setattr(field, "LOG_CAP", 0)
         ops = _BaseOps(p, e)
         assert not _base_tabled(ops)
+        assert ops.add is ops.sub is operator.xor  # XOR with or without tables
         self._match_digit_oracle(ops, ops.modulus)
 
     @staticmethod
@@ -465,6 +491,9 @@ class TestFrobenius:
         for x, y in pairs:
             prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
             assert ctx._mul_coords(x, y) == ctx.element(prod)
+        for x, _ in pairs[:60]:
+            for i in range(d):
+                assert ctx._frobenius_coords(x, i) == ctx._pow_coords(x, ctx.q**i)
 
 
 class TestNonPrimeBaseCoordinates:
@@ -500,9 +529,37 @@ class TestNonPrimeBaseCoordinates:
         assert not any(hasattr(getattr(ops, name), "cache_info") for name in ("add", "sub", "neg", "mul", "inv"))
 
 
+class TestCombine:
+    """`_BaseOps.combine` against a per-term sum of F_q's add and mul."""
+
+    # F_3 and F_17 sum past p before their one reduction; F_4 on tables;
+    # F_8 with LOG_CAP patched to 0 adds by XOR and multiplies by a cached
+    # operation; F_9 runs on cached operations
+    @pytest.mark.parametrize("p,e,cap", [(3, 1, None), (17, 1, None), (2, 2, None), (2, 3, 0), (3, 2, 0)])
+    def test_matches_per_term_sum(self, monkeypatch, p, e, cap):
+        if cap is not None:
+            monkeypatch.setattr(field, "LOG_CAP", cap)
+        ops = _BaseOps(p, e)
+        q, n = ops.size, 5
+        rng = random.Random(7)
+        for _ in range(300):
+            acc = [rng.randrange(q) for _ in range(n)]
+            coeffs = [rng.choice([0, q - 1, rng.randrange(q)]) for _ in range(n)]
+            rows = [
+                tuple((t, rng.randrange(1, q)) for t in sorted(rng.sample(range(n), rng.randrange(n + 1))))
+                for _ in range(n)
+            ]
+            want = list(acc)
+            for c, row in zip(coeffs, rows):
+                for t, r in row:
+                    want[t] = ops.add(want[t], ops.mul(c, r))
+            assert ops.combine(acc, coeffs, rows) == tuple(want)
+
+
 def _base_tabled(ops):
-    """F_q runs on its tables: addition is XOR rather than a cached operation."""
-    return ops.add is operator.xor
+    """F_q multiplies on its tables rather than by a cached operation.  Every
+    F_{2^e} adds by XOR, tabled or not, so addition cannot tell them apart."""
+    return ops.e > 1 and not hasattr(ops.mul, "cache_info")
 
 
 def _check_log_keys(ctx, els):
@@ -717,13 +774,19 @@ class TestTextForm:
 
 class TestEmbedding:
     def test_embed_preserves_arithmetic(self):
-        src = make_field(2, 1, 2)
-        dst = make_field(2, 1, 4)
-        for x in src.all_elements():
-            for y in src.all_elements():
-                assert embed(src.mul(x, y), src, dst) == dst.mul(
-                    embed(x, src, dst), embed(y, src, dst)
-                )
+        # F_{4^3} -> F_{4^6} is the theta suite's map into an ambient above
+        # LOG_CAP, on F_4's tables; F_{9^2} -> F_{9^4} runs on cached operations
+        for p, e, d, dst_d in [(2, 1, 2, 4), (2, 2, 3, 6), (3, 2, 2, 4)]:
+            src = make_field(p, e, d)
+            dst = make_field(p, e, dst_d)
+            els = src.all_elements()
+            if len(els) > 16:
+                els = random.Random(11).sample(els, 16) + [src.zero, src.one]
+            for x in els:
+                for y in els:
+                    ex, ey = embed(x, src, dst), embed(y, src, dst)
+                    assert embed(src.mul(x, y), src, dst) == dst.mul(ex, ey)
+                    assert embed(src.add(x, y), src, dst) == dst.add(ex, ey)
 
     def test_embedded_image_is_the_subfield(self):
         src = make_field(3, 1, 2)
