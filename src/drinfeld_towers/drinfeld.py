@@ -128,8 +128,8 @@ class DrinfeldModule(Value):
         ctx = self.ctx
         coeffs = [ctx.zero] * (self.m + 1)
         coeffs[0] = ctx.one
-        coeffs[self.j] = ctx.add(coeffs[self.j], self.g_j)
-        coeffs[self.m] = ctx.add(coeffs[self.m], ctx.neg(ctx.one))
+        coeffs[self.j] = self.g_j  # 1 <= j < m, so the three slots are distinct
+        coeffs[self.m] = ctx.neg(ctx.one)
         return TwistedPoly(ctx, coeffs)
 
     def map_to(self, dst: FieldCtx) -> "DrinfeldModule":

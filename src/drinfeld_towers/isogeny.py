@@ -68,15 +68,17 @@ def _require_nonzero(ctx: FieldCtx, x: FieldElem):
         raise ZeroPoint("x must be nonzero")
 
 
-def eta(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
-    """eta_x = 1 + x^{1-q} tau + ... + x^{1-q^{k-1}} tau^{k-1}.
-
-    Each x^{1-q^i} is taken as x * (x^{-1})^{q^i}, so x is inverted once.
-    """
+def _twists(ctx: FieldCtx, x: FieldElem, n: int) -> list:
+    """[c_0, ..., c_{n-1}] with c_i = x^{1-q^i}, taken as x * (x^{-1})^{q^i} so
+    that x is inverted once; c_0 = 1."""
     _require_nonzero(ctx, x)
     x_inv = ctx.inv(x)
-    coeffs = [ctx.mul(x, ctx.frobenius(x_inv, i)) for i in range(params.k)]
-    return TwistedPoly(ctx, coeffs)
+    return [ctx.one] + [ctx.mul(x, ctx.frobenius(x_inv, i)) for i in range(1, n)]
+
+
+def eta(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
+    """eta_x = 1 + x^{1-q} tau + ... + x^{1-q^{k-1}} tau^{k-1}: the twists c_0, ..., c_{k-1}."""
+    return TwistedPoly(ctx, _twists(ctx, x, params.k))
 
 
 def lambda_poly(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
@@ -90,19 +92,10 @@ def lambda_poly(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly
 
 
 def q_poly(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> TwistedPoly:
-    """Q_x, tau-degree m-1, with the tau^j coefficient equal to 1."""
-    _require_nonzero(ctx, x)
-    m, j, k = params.m, params.j, params.k
-    x_inv = ctx.inv(x)
-    coeffs = []
-    for s in range(m):
-        if s < j:
-            coeffs.append(ctx.mul(x, ctx.frobenius(x_inv, k + s)))
-        elif s == j:
-            coeffs.append(ctx.one)
-        else:
-            coeffs.append(ctx.mul(x, ctx.frobenius(x_inv, s - j)))
-    return TwistedPoly(ctx, coeffs)
+    """Q_x, tau-degree m-1: the twists (c_k, ..., c_{m-1}, c_0, ..., c_{k-1}),
+    eta_x's list rotated by k, so the tau^j coefficient is c_0 = 1."""
+    c = _twists(ctx, x, params.m)
+    return TwistedPoly(ctx, c[params.k:] + c[:params.k])
 
 
 def check_intertwine(lam: TwistedPoly, phi: DrinfeldModule, psi: DrinfeldModule) -> bool:

@@ -5,6 +5,12 @@ Each suite returns a list of report entries
 "skipped" reason when its hypothesis (p not dividing k) fails.  Entry order is
 fixed by the grid and by canonical element order, so reports are byte-identical
 across runs.
+
+A case fails when its check returns false or raises one of PROPERTY_ERRORS
+(`NotOnCurve`, `NoMarkedPreimage`, `NotCyclic`); the failure is recorded in
+the report, and the CLI exits 1.  Every other error propagates, so a resource
+limit hit inside a suite (a size cap, or memory) makes the CLI exit 3 with
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import itertools
 import random
 
 from .drinfeld import DrinfeldModule, cyclic_module
+from .errors import NoMarkedPreimage, NotCyclic, NotOnCurve
 from .isogeny import (
     TowerParams,
     XChain,
@@ -35,20 +42,46 @@ DEFAULT_GRID = (
     (5, 1, 2, 1),
 )
 
-SUITES = ("lemma1_6", "thm1_7", "theta", "roundtrip", "rsu")
+# the errors by which a check says that its property fails
+PROPERTY_ERRORS = (NotOnCurve, NoMarkedPreimage, NotCyclic)
 
 
-def _entry(check: str, params: TowerParams, ambient_degree, cases: int, failures: list, skipped=None) -> dict:
+def _entry(check: str, params: TowerParams, ambient_degree, cases, skipped=None) -> dict:
+    """Run `cases`, (test, label) pairs of zero-argument callables, into a report entry.
+
+    A case fails when test() is false, recorded as label(), or raises one of
+    PROPERTY_ERRORS, recorded as "label(): message".  Each pair is called before
+    the next is drawn, so both may close over loop variables.
+    """
+    failures = []
+    run = 0
+    for test, label in cases:
+        run += 1
+        try:
+            ok = test()
+        except PROPERTY_ERRORS as exc:
+            failures.append(f"{label()}: {exc}")
+            continue
+        if not ok:
+            failures.append(label())
     out = {
         "check": check,
         "params": {"p": params.p, "e": params.e, "m": params.m, "j": params.j},
         "ambient_degree": ambient_degree,
-        "cases_run": cases,
+        "cases_run": run,
         "failures": failures,
     }
     if skipped is not None:
         out["skipped"] = skipped
     return out
+
+
+def _named(ctx, **elems) -> str:
+    return ", ".join(f"{name} = {ctx.format_elem(v)}" for name, v in elems.items())
+
+
+def _listed(ctx, coords) -> str:
+    return str([ctx.format_elem(c) for c in coords])
 
 
 def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
@@ -58,16 +91,24 @@ def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
         params = TowerParams(*tup)
         for deg in (params.m, 2 * params.m):
             ctx = params.field(deg)
-            failures = []
-            cases = 0
-            for x in ctx.all_elements():
-                if x == ctx.zero:
-                    continue
-                cases += 1
-                if not verify_lemma_1_6(params, ctx, x):
-                    failures.append(f"x = {ctx.format_elem(x)}")
-            entries.append(_entry("lemma1_6", params, deg, cases, failures))
+            nonzero = (x for x in ctx.all_elements() if x != ctx.zero)
+            cases = ((lambda: verify_lemma_1_6(params, ctx, x), lambda: _named(ctx, x=x)) for x in nonzero)
+            entries.append(_entry("lemma1_6", params, deg, cases))
     return entries
+
+
+def _thm1_7_cases(params: TowerParams, ctx):
+    for x in ctx.all_elements():
+        if x == ctx.zero:
+            continue
+        lam, phi_x = lambda_poly(params, ctx, x), params.module_at(ctx, x)
+        for y in fiber_solutions(params, ctx, x):
+            yield lambda: check_intertwine(lam, phi_x, params.module_at(ctx, y)), lambda: _named(ctx, x=x, y=y)
+    # composites over length-3 chains (capped; order is canonical)
+    for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
+        chain = XChain(params, ctx, pt.coords)
+        phi, psi = params.module_at(ctx, pt.coords[0]), params.module_at(ctx, pt.coords[-1])
+        yield lambda: check_intertwine(chain.composite(), phi, psi), lambda: f"chain {_listed(ctx, pt.coords)}"
 
 
 def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
@@ -75,30 +116,7 @@ def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
-        ctx = params.field(params.m)
-        failures = []
-        cases = 0
-        for x in ctx.all_elements():
-            if x == ctx.zero:
-                continue
-            lam = lambda_poly(params, ctx, x)
-            phi_x = params.module_at(ctx, x)
-            for y in fiber_solutions(params, ctx, x):
-                cases += 1
-                if not check_intertwine(lam, phi_x, params.module_at(ctx, y)):
-                    failures.append(f"x = {ctx.format_elem(x)}, y = {ctx.format_elem(y)}")
-        # composites over length-3 chains (capped; order is canonical)
-        for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
-            chain = XChain(params, ctx, pt.coords)
-            cases += 1
-            ok = check_intertwine(
-                chain.composite(),
-                params.module_at(ctx, pt.coords[0]),
-                params.module_at(ctx, pt.coords[-1]),
-            )
-            if not ok:
-                failures.append(f"chain {[ctx.format_elem(c) for c in pt.coords]}")
-        entries.append(_entry("thm1_7", params, params.m, cases, failures))
+        entries.append(_entry("thm1_7", params, params.m, _thm1_7_cases(params, params.field(params.m))))
     return entries
 
 
@@ -108,27 +126,18 @@ def suite_theta(grid=DEFAULT_GRID, seed: int = 0) -> list:
     for tup in grid:
         params = TowerParams(*tup)
         if not params.k_coprime_to_p:
-            entries.append(_entry("theta", params, None, 0, [], skipped="p divides k"))
+            entries.append(_entry("theta", params, None, (), skipped="p divides k"))
             continue
         ctx = params.field(params.m)
-        failures = []
-        cases = 0
-        ambient = None
-        for pt in itertools.islice(iter_rational(params, 2, "F"), 3):
-            chain = XChain(params, ctx, pt.coords)
-            deg = splitting_degree(chain.composite(), 2 * params.k)
-            ambient = max(ambient or 0, deg)
-            big = chain.map_to(params.field(deg))
-            cases += 1
-            try:
-                ok = check_theta_marked_point(big)
-            except Exception as exc:
-                ok = False
-                failures.append(f"chain {[ctx.format_elem(c) for c in pt.coords]}: {exc}")
-                continue
-            if not ok:
-                failures.append(f"chain {[ctx.format_elem(c) for c in pt.coords]}")
-        entries.append(_entry("theta", params, ambient, cases, failures))
+        points = itertools.islice(iter_rational(params, 2, "F"), 3)
+        chains = [XChain(params, ctx, pt.coords) for pt in points]
+        degs = [splitting_degree(chain.composite(), 2 * params.k) for chain in chains]
+        cases = (
+            (lambda: check_theta_marked_point(chain.map_to(params.field(deg))),
+             lambda: f"chain {_listed(ctx, chain.coords)}")
+            for chain, deg in zip(chains, degs)
+        )
+        entries.append(_entry("theta", params, max(degs, default=None), cases))
     return entries
 
 
@@ -138,72 +147,49 @@ def suite_roundtrip(grid=DEFAULT_GRID, seed: int = 0) -> list:
     Runs a nontrivial k = 2 case, a k = 1 collapse case, and flags the
     characteristic-divides-k configuration as skipped.
     """
-    entries = []
-
     # k = 2 at q = 3: g_j = 2 makes phi_T split already in degree 8
     params = TowerParams(3, 1, 3, 1)
     amb = params.field(8)
-    phi = DrinfeldModule(amb, 3, 1, amb.scalar(2))
-    failures = []
-    cases = 0
-    ker = kernel(phi.phi_T())
-    for mu in ker.elements()[1:6]:
-        g1 = cyclic_module(phi, mu)
-        cases += 1
-        if not check_roundtrip(params, phi, g1, 1):
-            failures.append(f"mu = {amb.format_elem(mu)}")
-    entries.append(_entry("roundtrip", params, 8, cases, failures))
+    split = (params, DrinfeldModule(amb, 3, 1, amb.scalar(2)), 8, slice(1, 6))
 
     # k = 1 collapse: f = 1 and the span is trivial
     params = TowerParams(2, 1, 3, 2)
     ctx = params.field(params.m)
     phi = params.module_at(ctx, ctx.one)
     deg = splitting_degree(phi.phi_T(), params.m)
-    amb = params.field(deg)
-    phi = phi.map_to(amb)
-    failures = []
-    cases = 0
-    for mu in kernel(phi.phi_T()).elements()[1:4]:
-        g1 = cyclic_module(phi, mu)
-        cases += 1
-        if not check_roundtrip(params, phi, g1, 1):
-            failures.append(f"mu = {amb.format_elem(mu)}")
-    entries.append(_entry("roundtrip", params, deg, cases, failures))
+    collapse = (params, phi.map_to(params.field(deg)), deg, slice(1, 4))
+
+    entries = []
+    for params, phi, deg, picked in (split, collapse):
+        cases = (
+            (lambda: check_roundtrip(params, phi, cyclic_module(phi, mu), 1), lambda: _named(phi.ctx, mu=mu))
+            for mu in kernel(phi.phi_T()).elements()[picked]
+        )
+        entries.append(_entry("roundtrip", params, deg, cases))
 
     # p | k: the F(T)/f(T) machinery is undefined, record as skipped
-    params = TowerParams(2, 1, 3, 1)
-    entries.append(_entry("roundtrip", params, None, 0, [], skipped="p divides k"))
+    entries.append(_entry("roundtrip", TowerParams(2, 1, 3, 1), None, (), skipped="p divides k"))
     return entries
 
 
 def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
-    """Trace relations R = tr_k(u) - b, S = -tr_j(u) + a on rational and random pairs."""
+    """Trace relations R = tr_k(u) - b, S = -tr_j(u) + a on rational and random pairs.
+
+    rsu raises NotOnCurve when a relation fails, so a case passes when it returns.
+    """
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
         ctx = params.field(params.m)
-        failures = []
-        cases = 0
-        for pt in enumerate_rational(params, 2, "F"):
-            cases += 1
-            try:
-                rsu(params, ctx, pt.coords[0], pt.coords[1])
-            except Exception as exc:
-                failures.append(f"{[ctx.format_elem(c) for c in pt.coords]}: {exc}")
-        entries.append(_entry("rsu", params, params.m, cases, failures))
+        pairs = (pt.coords for pt in enumerate_rational(params, 2, "F"))
+        cases = ((lambda: rsu(params, ctx, x, y), lambda: _listed(ctx, (x, y))) for x, y in pairs)
+        entries.append(_entry("rsu", params, params.m, cases))
 
         # random geometric solutions in the degree-2m ambient, seeded for determinism
         amb = params.field(2 * params.m)
-        failures = []
-        cases = 0
-        pairs = _random_fiber_pairs(params, amb, random.Random(f"{seed}-{tup}"))
-        for x, y in itertools.islice(pairs, 20):
-            cases += 1
-            try:
-                rsu(params, amb, x, y)
-            except Exception as exc:
-                failures.append(f"x = {amb.format_elem(x)}, y = {amb.format_elem(y)}: {exc}")
-        entries.append(_entry("rsu_random", params, 2 * params.m, cases, failures))
+        pairs = itertools.islice(_random_fiber_pairs(params, amb, random.Random(f"{seed}-{tup}")), 20)
+        cases = ((lambda: rsu(params, amb, x, y), lambda: _named(amb, x=x, y=y)) for x, y in pairs)
+        entries.append(_entry("rsu_random", params, 2 * params.m, cases))
     return entries
 
 
@@ -230,13 +216,12 @@ _SUITE_FUNCS = {
     "rsu": suite_rsu,
 }
 
+SUITES = tuple(_SUITE_FUNCS)
+
 
 def run_suite(name: str, grid=DEFAULT_GRID, seed: int = 0) -> list:
     if name == "all":
-        out = []
-        for s in SUITES:
-            out.extend(_SUITE_FUNCS[s](grid, seed))
-        return out
+        return [entry for s in SUITES for entry in _SUITE_FUNCS[s](grid, seed)]
     if name not in _SUITE_FUNCS:
         raise KeyError(f"unknown suite {name!r}")
     return _SUITE_FUNCS[name](grid, seed)

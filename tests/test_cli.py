@@ -362,20 +362,39 @@ def cli_runs(draw):
     return argv, cap, builds and cap in ("5", str(FUZZ_FIELD_LIMIT)) and int(cap) < (p**e) ** m
 
 
+# the messages by which main refuses a combination of verify options
+VERIFY_ARGUMENT_ERRORS = (
+    "verify --suite roundtrip runs fixed cases; it takes no --p/--e/--m/--j",
+    "verify with --p also needs --m and --j",
+    "verify with --e, --m or --j also needs --p",
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(cli_runs())
 def test_main_exit_codes(run_args):
     argv, cap, over_cap = run_args
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ):
         os.environ.pop("DRINFELD_SIZE_CAP", None)
         if cap is not None:
             os.environ["DRINFELD_SIZE_CAP"] = cap
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2, 3)
+    err_lines = err.getvalue().splitlines()
+    if code in (0, 1):
+        assert err_lines == []
     if code in (2, 3):
         assert out.getvalue() == ""
+    if code == 3:
+        assert len(err_lines) == 1 and err_lines[0].startswith("resource limit: ")
+    if code == 2:
+        one_line = len(err_lines) == 1 and (
+            err_lines[0].startswith("invalid input: ") or err_lines[0] in VERIFY_ARGUMENT_ERRORS
+        )
+        usage = bool(err_lines) and err_lines[0].startswith("usage: ") and "error: " in err_lines[-1]
+        assert one_line or usage, err_lines
     if code == 1:
         doc = json.loads(out.getvalue())
         assert argv[0] in ("verify", "ss-count")

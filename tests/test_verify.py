@@ -1,12 +1,16 @@
-"""The seeded draws of the rsu_random check, and the reports they give at nonzero seeds."""
+"""The seeded draws of the rsu_random check, the reports they give at nonzero
+seeds, and how an error raised inside a suite reaches the report or the CLI."""
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from drinfeld_towers import verify
 from drinfeld_towers.cli import main
+from drinfeld_towers.errors import NoMarkedPreimage, NotCyclic, NotOnCurve, SizeCapExceeded
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import fiber_solutions
 from drinfeld_towers.verify import DEFAULT_GRID, _random_fiber_pairs
@@ -50,3 +54,52 @@ def test_seeded_report_unchanged(command, capsys, monkeypatch):
     monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEEDED_SHA256[command]
+
+
+# the check each suite's cases call, patched to raise; theta and rsu run on one
+# grid tuple, roundtrip on its fixed cases
+RAISING_CHECKS = {
+    "rsu": ("rsu", ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_theta_marked_point": ("theta", ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_roundtrip": ("roundtrip", []),
+}
+
+
+def _raise(exc):
+    def check(*args):
+        raise exc
+
+    return check
+
+
+@pytest.mark.parametrize("exc", [SizeCapExceeded("cap hit"), MemoryError()], ids=type)
+@pytest.mark.parametrize("target", sorted(RAISING_CHECKS))
+def test_resource_limit_inside_suite_exits_3(target, exc, capsys, monkeypatch):
+    monkeypatch.setattr(verify, target, _raise(exc))
+    suite, params = RAISING_CHECKS[target]
+    assert main(["verify", "--suite", suite, *params]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("resource limit: ")
+
+
+@pytest.mark.parametrize(
+    "target, exc",
+    [("rsu", NotOnCurve), ("check_theta_marked_point", NoMarkedPreimage), ("check_roundtrip", NotCyclic)],
+)
+def test_property_error_inside_suite_is_a_failure(target, exc, capsys, monkeypatch):
+    monkeypatch.setattr(verify, target, _raise(exc("property fails")))
+    suite, params = RAISING_CHECKS[target]
+    assert main(["verify", "--suite", suite, *params]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    run = [e for e in report if not e.get("skipped")]
+    assert run and all(len(e["failures"]) == e["cases_run"] > 0 for e in run)
+    assert all(f.endswith(": property fails") for e in run for f in e["failures"])
+
+
+@pytest.mark.parametrize("target", sorted(RAISING_CHECKS))
+def test_bug_inside_suite_propagates(target, monkeypatch):
+    monkeypatch.setattr(verify, target, _raise(TypeError("a bug")))
+    suite, _ = RAISING_CHECKS[target]
+    with pytest.raises(TypeError, match="a bug"):
+        verify.run_suite(suite, ((2, 1, 2, 1),))
