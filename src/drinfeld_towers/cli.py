@@ -8,6 +8,7 @@ configuration that produced them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,7 +58,7 @@ def _params(cfg: RunConfig) -> TowerParams:
 
 def cmd_points(cfg: RunConfig, out) -> int:
     params = _params(cfg)
-    pts = iter_rational(params, cfg.n, cfg.variant)  # the cap walk runs here, before any output
+    pts = iter_rational(params, cfg.n, cfg.variant)  # the cap check runs here, before any output
     if cfg.format == "csv":
         length = cfg.n if cfg.variant != "H" else cfg.n - 1
         cols = ",".join(f"coord_{i + 1}" for i in range(length))
@@ -70,8 +71,17 @@ def cmd_points(cfg: RunConfig, out) -> int:
                 file=out,
             )
     else:
+        # the bytes of _JSON.encode(pt.to_json_dict()), with each element's
+        # string and each record less its coordinates encoded once per run
+        ctx = params.field(params.m)
+        quoted = functools.cache(lambda x: _JSON.encode(ctx.format_elem(x)))
+        frames = {}  # supersingular -> the record's text before and after its coordinates
         for pt in pts:
-            print(_JSON.encode(pt.to_json_dict()), file=out)
+            ss = pt.is_supersingular()
+            if ss not in frames:
+                frames[ss] = _JSON.encode(dict(pt.to_json_dict(), coords=[])).split("[]", 1)
+            head, tail = frames[ss]
+            print(head + "[" + ", ".join([quoted(x) for x in pt.coords]) + "]" + tail, file=out)
     return EXIT_OK
 
 

@@ -218,6 +218,14 @@ def solve_affine(f: TwistedPoly, c: FieldElem) -> list:
     return sols
 
 
+def count_affine(f: TwistedPoly, c: FieldElem) -> int:
+    """The number of mu in the ambient with f(mu) = c: q^{dim ker f}, or 0
+    when c is not in the image; the same one elimination as `solve_affine`,
+    with nothing listed."""
+    sol = linalg.solve(linear_matrix(f), c, f.ctx._bops)
+    return 0 if sol is None else f.ctx.q ** len(sol[1])
+
+
 def splitting_degree(f: TwistedPoly, target_dim: int) -> int:
     """Least multiple D of the ambient degree at which Ker(f) reaches target_dim.
 

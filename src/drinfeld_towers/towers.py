@@ -6,12 +6,15 @@ u-coordinates.  Rational points live in F_{q^m}^*.  Every successor set is
 the solution set of one affine F_q-linear equation: Q_x(y) = x for F
 (`fiber_solutions`), L_X(s) = 1 with Y = X s^{q-1} for G, and the
 cross-multiplied recursion in v for H.  The F and G equations are one cached
-hyperplane (`_trace_hyperplane`) per value of c = x^{q^m-1} or X^{N_m}; over
-F_{q^m} itself c lies in F_q^*, so rational successors cost no solve per
-point.  All come out in canonical element order, so output is
-deterministic, and `TowerPoint` checks every pair against the same cached
-successors.  Point counts are walks on that successor graph
-(`_chain_counts`), so counting lists no point.  Every q-power x^{q^i} is
+hyperplane T_c (`_trace_hyperplane`) per value of c = x^{q^m-1} or X^{N_m};
+over F_{q^m} itself c lies in F_q^*, so rational successors cost no solve
+per point.  All come out in canonical element order, so output is
+deterministic.  The successor relation is cached once per tower variant and
+field (`_level_candidates`); enumeration extends chains by it and
+`TowerPoint` checks every pair against it.  Level sizes of F and G come
+from the sizes |T_c| alone, one rank per c, so counting them lists no point
+and no field; H's are walks on its successor graph (`_chain_counts`), which
+stay the tests' oracle for the F and G sizes.  Every q-power x^{q^i} is
 taken through the Frobenius linear map.
 """
 
@@ -23,7 +26,7 @@ import itertools
 from .errors import NotInSubfield, NotOnCurve, NotPrime, SizeCapExceeded, ZeroDenominator, ZeroPoint
 from .field import FieldCtx, FieldElem, is_prime
 from .isogeny import TowerParams
-from .ore import TwistedPoly, solve_affine
+from .ore import TwistedPoly, count_affine, solve_affine
 from .value import Value
 
 POINTS_CAP = 2**18  # most chains `enumerate_rational` builds on one level
@@ -90,7 +93,7 @@ def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem)
 
 class TowerPoint(Value):
     """A coordinate tuple on one tower level, validated at construction:
-    each consecutive pair (x, y) by y in `_level_candidates(x)`."""
+    each consecutive pair (x, y) by y in `_level_candidates(...)(x)`."""
 
     __slots__ = ("variant", "params", "ctx", "coords")
 
@@ -99,8 +102,9 @@ class TowerPoint(Value):
             raise ValueError(f"unknown variant {variant!r}")
         if ctx.zero in coords:
             raise ZeroPoint("tower coordinates must be nonzero")
+        successors = _level_candidates(params, ctx, variant)
         for x, y in zip(coords, coords[1:]):
-            if y not in _level_candidates(params, ctx, variant, x):
+            if y not in successors(x):
                 raise NotOnCurve(f"coordinates violate the {variant}-recursion")
         self._assign(variant, params, ctx, coords)
 
@@ -127,11 +131,15 @@ class TowerPoint(Value):
         return all(self.ctx.in_subfield(x, m) for x in self.coords)
 
 
+def _hyperplane_poly(ctx: FieldCtx, j: int, k: int, c: FieldElem) -> TwistedPoly:
+    """sum_{i<j} tau^i + sum_{i<k} c^{q^i} tau^{j+i}: T_c is where it takes the value 1."""
+    return TwistedPoly(ctx, [ctx.one] * j + [ctx.frobenius(c, i) for i in range(k)])
+
+
 @functools.cache
 def _trace_hyperplane(ctx: FieldCtx, j: int, k: int, c: FieldElem, e: int) -> tuple:
-    """t^e for all t in ctx with sum_{i<j} t^{q^i} + sum_{i<k} c^{q^i} t^{q^{j+i}} = 1."""
-    f = TwistedPoly(ctx, [ctx.one] * j + [ctx.frobenius(c, i) for i in range(k)])
-    return tuple(ctx.pow(t, e) for t in solve_affine(f, ctx.one))
+    """t^e for all t in T_c: sum_{i<j} t^{q^i} + sum_{i<k} c^{q^i} t^{q^{j+i}} = 1."""
+    return tuple(ctx.pow(t, e) for t in solve_affine(_hyperplane_poly(ctx, j, k, c), ctx.one))
 
 
 def _on_hyperplane(params: TowerParams, ctx: FieldCtx, x: FieldElem, n: int, e: int) -> list:
@@ -153,16 +161,22 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
 
 
 @functools.cache
-def _level_candidates(params, ctx, variant, prev) -> tuple:
-    """The nonzero successors of coordinate `prev`: the tower's successor relation.
+def _level_candidates(params: TowerParams, ctx: FieldCtx, variant: str):
+    """The tower's successor relation on ctx, cached once per variant and
+    field: a cached map from x to the tuple of its nonzero successors.
+    Enumeration extends chains by it, walks count chains along it, and
+    `TowerPoint` checks pairs by membership in it."""
+    return functools.cache(functools.partial(_solve_successors, params, ctx, variant))
 
-    Enumeration extends chains by these, walks count chains along them, and
-    `TowerPoint` checks pairs by membership in them.  F(x, y) = 0 iff
-    Q_x(y) = x; Q_x(0) = 0 != x keeps zero out.  With N_l = (q^l-1)/(q-1),
-    a = X^{-N_k} and b = X^{N_j}, G(X, Y) = 0 iff Y = X s^{q-1} for some s
-    with L_X(s) = tr_j(a s) + tr_k(b s^{q^j}) = 1; s is fixed up to F_q^*,
-    which scales L_X(s), so s -> X s^{q-1} maps the solutions one-to-one onto
-    the successors.  Since N_j + q^j N_k = N_m, t = a s turns L_X(s) = 1 into
+
+def _solve_successors(params: TowerParams, ctx: FieldCtx, variant: str, prev: FieldElem) -> tuple:
+    """The nonzero successors of coordinate `prev`, in canonical order.
+
+    F(x, y) = 0 iff Q_x(y) = x; Q_x(0) = 0 != x keeps zero out.  With
+    N_l = (q^l-1)/(q-1), a = X^{-N_k} and b = X^{N_j}, G(X, Y) = 0 iff
+    Y = X s^{q-1} for some s with L_X(s) = tr_j(a s) + tr_k(b s^{q^j}) = 1;
+    s is fixed up to F_q^*, which scales L_X(s), so s -> X s^{q-1} maps the
+    solutions one-to-one onto the successors.  Since N_j + q^j N_k = N_m, t = a s turns L_X(s) = 1 into
     the hyperplane of F with c = X^{N_m}, and Y = X^{q^k} t^{q-1}.  So F and
     G solve once per distinct c, which over F_{q^m} lies in F_q^*.
     Cross-multiplied, H(u, v) = 0 reads den2 tr_j(v) - den1 tr_k(v)^{q^j} =
@@ -188,14 +202,14 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
 
     Variant F/G points have n coordinates; variant H points have n-1
     (u_2, ..., u_n) and require n >= 2.  Raises SizeCapExceeded before
-    building anything if a walk counts more than POINTS_CAP chains on a level.
+    building anything if a level holds more than POINTS_CAP chains.
     """
     return list(iter_rational(params, n, variant))
 
 
 def iter_rational(params: TowerParams, n: int, variant: str):
     """The points of `enumerate_rational`, in order, built lazily; every check
-    and the cap walk run before it returns."""
+    and the cap check on `_level_sizes` run before it returns."""
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
@@ -204,37 +218,71 @@ def iter_rational(params: TowerParams, n: int, variant: str):
         raise ValueError("H-variant needs n >= 2")
     ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
-    for size in itertools.islice(_chain_counts(params, ctx, variant), length):
+    for size in itertools.islice(_level_sizes(params, ctx, variant), length):
         if size > POINTS_CAP:
             raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
+    successors = _level_candidates(params, ctx, variant)
     frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
-        frontier = (t + (y,) for t in frontier for y in _level_candidates(params, ctx, variant, t[-1]))
+        frontier = (t + (y,) for t in frontier for y in successors(t[-1]))
     return (TowerPoint(variant, params, ctx, coords) for coords in frontier)
 
 
+def _level_sizes(params: TowerParams, ctx: FieldCtx, variant: str):
+    """Yield the number of chains of 1, 2, ... nonzero coordinates in ctx = F_{q^m}.
+
+    For F and G a chain keeps the c of its first coordinate, and each
+    coordinate has |T_c| successors, so level l holds sum_c N_c |T_c|^{l-1}
+    chains, N_c being the number of first coordinates with that c.  For F,
+    c = x^{q^m-1} = 1 for all q^m - 1 of them.  For G, c = X^{N_m} is the
+    norm to F_q^*, which takes each value N_m = (q^m-1)/(q-1) times, and a
+    successor Y = X^{q^k} t^{q-1} has norm c^{q^k} N(t)^{q-1} = c.  So F and
+    G count with at most q - 1 ranks and list nothing; the field is still
+    held to ENUMERATION_CAP.  H walks its successor graph (`_chain_counts`).
+    """
+    if variant == "H":
+        yield from _chain_counts(params, ctx, variant)
+        return
+    ctx.check_enumerable(ctx.d)
+    q, m = ctx.q, params.m
+    if variant == "F":
+        cs, chains = [ctx.one], [q**m - 1]
+    else:
+        cs, chains = [ctx.from_int(c) for c in range(1, q)], [(q**m - 1) // (q - 1)] * (q - 1)
+    sizes = [count_affine(_hyperplane_poly(ctx, params.j, params.k, c), ctx.one) for c in cs]
+    while True:
+        yield sum(chains)
+        chains = [w * size for w, size in zip(chains, sizes)]
+
+
 def _chain_counts(params: TowerParams, ctx: FieldCtx, variant: str):
-    """Yield the number of chains of 1, 2, ... nonzero coordinates in ctx.
+    """Yield the number of chains of 1, 2, ... nonzero coordinates in ctx by
+    walking the successor relation: H's level sizes, and the tests' oracle
+    for the F and G sizes of `_level_sizes`.
 
     ways_1(x) = 1 and ways_{l+1}(x) = sum of ways_l(y) over the successors y
     of x count the chains of l coordinates that start at x, with no chain
-    built.
+    built; each level costs a pass over every successor set, O(q^{2m-1})
+    for F and G.
     """
     nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
+    successors = _level_candidates(params, ctx, variant)
     ways = dict.fromkeys(nonzero, 1)
     while True:
         yield sum(ways.values())
-        ways = {
-            x: sum(ways[y] for y in _level_candidates(params, ctx, variant, x)) for x in nonzero
-        }
+        ways = {x: sum(ways[y] for y in successors(x)) for x in nonzero}
 
 
 def count_supersingular(params: TowerParams, n: int) -> tuple:
-    """(walked F-variant rational count, (q^m-1) q^{(m-1)(n-1)})."""
+    """(F-variant rational count (q^m-1) |T_1|^{n-1}, (q^m-1) q^{(m-1)(n-1)}).
+
+    The count comes from the successor relation's hyperplane, not from the
+    formula; it costs one rank at any n, over a field within ENUMERATION_CAP.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    walk = _chain_counts(params, params.field(params.m), "F")
-    count = next(itertools.islice(walk, n - 1, None))
+    sizes = _level_sizes(params, params.field(params.m), "F")
+    count = next(itertools.islice(sizes, n - 1, None))
     formula = (params.q**params.m - 1) * params.q ** ((params.m - 1) * (n - 1))
     return count, formula
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers.cli import RunConfig, main
+from drinfeld_towers.cli import _JSON, RunConfig, main
 from drinfeld_towers.field import is_prime
 from drinfeld_towers.isogeny import TowerParams
-from drinfeld_towers.towers import TowerPoint, ihara_bound
+from drinfeld_towers.towers import TowerPoint, enumerate_rational, ihara_bound
 from drinfeld_towers.verify import SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -66,6 +66,29 @@ class TestPoints:
             rec = json.loads(line)
             coords = tuple(ctx.parse_elem(c) for c in rec["coords"])
             TowerPoint(rec["variant"], params, ctx, coords)  # raises if invalid
+
+    @pytest.mark.parametrize(
+        "variant,tup,n",
+        [("F", (2, 1, 3, 2), 3), ("G", (5, 1, 3, 1), 2), ("H", (5, 1, 3, 1), 3), ("F", (2, 2, 2, 1), 2)],
+        ids=["F2132", "G5131", "H5131", "F2221"],
+    )
+    def test_records_are_the_reference_encoding(self, capsys, variant, tup, n):
+        # oracle: each JSON line is _JSON.encode(pt.to_json_dict()) of the same
+        # point, and the CSV lines are the unchanged per-point format
+        params = TowerParams(*tup)
+        pts = enumerate_rational(params, n, variant)
+        argv = ["points", "--p", str(tup[0]), "--e", str(tup[1]), "--m", str(tup[2]), "--j", str(tup[3]),
+                "--n", str(n), "--variant", variant]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.splitlines() == [_JSON.encode(pt.to_json_dict()) for pt in pts]
+        code, out = run(capsys, *argv, "--format", "csv")
+        cols = ",".join(f"coord_{i + 1}" for i in range(len(pts[0].coords)))
+        rows = [
+            f"{variant},{tup[0]},{tup[1]},{tup[2]},{tup[3]},"
+            f"{','.join(pt.ctx.format_elem(c) for c in pt.coords)},{pt.is_supersingular()}"
+            for pt in pts
+        ]
+        assert code == 0 and out.splitlines() == [f"variant,p,e,m,j,{cols},supersingular"] + rows
 
     def test_invalid_rank_pair(self, capsys):
         code, _ = run(
@@ -122,6 +145,19 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.splitlines() == ["resource limit: out of memory"]
+
+    def test_wide_listing_is_resource_limit_at_once(self, capsys):
+        # level 2 holds 2047 * 2^10 points: F's level sizes come from the
+        # hyperplane T_1, with no walk over the 2047 successor sets
+        start = time.perf_counter()
+        code, out = run(capsys, "points", "--p", "2", "--m", "11", "--j", "1", "--n", "2", "--variant", "F")
+        assert code == 3 and out == "" and time.perf_counter() - start < 1
+
+    def test_deep_wide_ss_count_is_fast(self, capsys):
+        # a 4,192-digit count from one rank, not from 3000 walked levels
+        start = time.perf_counter()
+        code, out = run(capsys, "ss-count", "--p", "5", "--m", "3", "--j", "1", "--n", "3000")
+        assert code == 0 and json.loads(out)["match"] is True and time.perf_counter() - start < 1
 
     def test_deep_listing_is_resource_limit(self, capsys):
         # level 18 would hold 3 * 2^17 chains, over the per-level point cap

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from drinfeld_towers.drinfeld import APoly, DrinfeldModule, cyclic_module
@@ -28,6 +30,41 @@ P321 = TowerParams(3, 1, 2, 1)
 P331 = TowerParams(3, 1, 3, 1)
 F4 = make_field(2, 1, 2)
 W = F4.from_int(2)
+
+# (m, j) with m <= 6 and gcd(j, m - j) = 1: 11 rank pairs
+RANK_PAIRS = [(m, j) for m in range(2, 7) for j in range(1, m) if math.gcd(j, m - j) == 1]
+# the 44 prime-field shapes with p <= 7, m <= 6, and 36 with q in {4, 8, 9, 27}, m <= 5
+LEMMA_SHAPES = [(p, 1, m, j) for p in (2, 3, 5, 7) for m, j in RANK_PAIRS] + [
+    (p, e, m, j) for p, e in ((2, 2), (2, 3), (3, 2), (3, 3)) for m, j in RANK_PAIRS if m <= 5
+]
+
+
+def _lemma_factors(p, e, m, j, shift=0):
+    """eta_x, phi^x_T, Q_x and lambda_x in F_p[x^{+-1}]{tau}, each as
+    {tau-degree: {exponent n: coefficient of x^n mod p}}, from the paper's
+    formulas; `shift` moves lambda_x's constant exponent."""
+    q, k = p**e, m - j
+    twist = [1 - q**i for i in range(m)]  # x^{1 - q^i}
+    g = {q**m - q**j: 1, 1 - q**j: p - 1}  # x^{q^m - q^j} - x^{1 - q^j}
+    eta_x = {i: {twist[i]: 1} for i in range(k)}
+    phi_x = {0: {0: 1}, j: g, m: {0: p - 1}}
+    q_x = {i: {twist[(k + i) % m]: 1} for i in range(m)}  # eta's twists rotated by k
+    lam_x = {0: {q**k - 1 + shift: 1}, k: {0: p - 1}}
+    return eta_x, phi_x, q_x, lam_x
+
+
+def _laurent_mul(f, g, q, p):
+    """f g in F_p[x^{+-1}]{tau}, where tau x^n = x^{n q} tau; zero terms dropped."""
+    out = {}
+    for i, a in f.items():
+        for l, b in g.items():
+            acc = out.setdefault(i + l, {})
+            for na, ca in a.items():
+                for nb, cb in b.items():
+                    n = na + nb * q**i
+                    acc[n] = (acc.get(n, 0) + ca * cb) % p
+    out = {d: {n: c for n, c in terms.items() if c} for d, terms in out.items()}
+    return {d: terms for d, terms in out.items() if terms}
 
 
 class TestParams:
@@ -126,6 +163,34 @@ class TestIntertwining:
         for x in ctx.all_elements():
             if x != ctx.zero:
                 assert verify_lemma_1_6(params, ctx, x)
+
+    @pytest.mark.parametrize("p,e,m,j", LEMMA_SHAPES, ids=[f"{p}{e}{m}{j}" for p, e, m, j in LEMMA_SHAPES])
+    def test_identity_once_per_shape(self, p, e, m, j):
+        # every coefficient of the four factors is a signed sum of monomials
+        # x^n, so eta_x phi^x_T = Q_x lambda_x is one identity in
+        # F_p[x^{+-1}]{tau}; a nonzero Laurent polynomial has finitely many
+        # roots, so it holds at every x != 0 in every extension.  Shifting
+        # lambda_x's constant exponent by one must break it.
+        q = p**e
+        eta_x, phi_x, q_x, lam_x = _lemma_factors(p, e, m, j)
+        assert _laurent_mul(eta_x, phi_x, q, p) == _laurent_mul(q_x, lam_x, q, p)
+        shifted = _lemma_factors(p, e, m, j, shift=1)[3]
+        assert _laurent_mul(eta_x, phi_x, q, p) != _laurent_mul(q_x, shifted, q, p)
+
+    @pytest.mark.parametrize("p,e,m,j", [s for s in LEMMA_SHAPES if s[0] ** (s[1] * s[2]) <= 2**10])
+    def test_shape_factors_are_the_library_factors(self, p, e, m, j):
+        # ties the symbolic factors to eta, module_at, q_poly and lambda_poly
+        params = TowerParams(p, e, m, j)
+        ctx = params.field(m)
+        x = ctx.from_int(ctx.q)  # the generator y of F_{q^m} over F_q
+        library = (eta(params, ctx, x), params.module_at(ctx, x).phi_T(),
+                   q_poly(params, ctx, x), lambda_poly(params, ctx, x))
+        for symbolic, poly in zip(_lemma_factors(p, e, m, j), library):
+            values = {i: ctx.zero for i in range(max(symbolic) + 1)}
+            for i, terms in symbolic.items():
+                for n, c in terms.items():
+                    values[i] = ctx.add(values[i], ctx.mul(ctx.scalar(c), ctx.pow(x, n)))
+            assert TwistedPoly(ctx, [values[i] for i in sorted(values)]) == poly
 
     def test_fiber_isogenies(self):
         from drinfeld_towers.towers import fiber_solutions

@@ -10,6 +10,7 @@ from drinfeld_towers.field import make_field
 from drinfeld_towers.ore import (
     Subspace,
     TwistedPoly,
+    count_affine,
     evaluate,
     kernel,
     linear_matrix,
@@ -205,6 +206,18 @@ class TestKernels:
         zero = TwistedPoly.zero(F9)
         assert solve_affine(zero, F9.zero) == F9.all_elements()
         assert solve_affine(zero, F9.one) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=4), st.integers(0, 63))
+    def test_count_affine_is_the_listing_length(self, ints, c_int):
+        # oracle: the count read off the ranks is the number of listed solutions
+        ctx = make_field(2, 1, 6)
+        f, c = poly(ctx, ints), ctx.from_int(c_int)
+        assert count_affine(f, c) == len(solve_affine(f, c))
+
+    def test_count_affine_zero_map(self):
+        zero = TwistedPoly.zero(F9)
+        assert (count_affine(zero, F9.zero), count_affine(zero, F9.one)) == (9, 0)
 
     def test_subspace_span_and_containment(self):
         s = Subspace.from_vectors(F4, [W])

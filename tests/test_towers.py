@@ -1,10 +1,11 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from drinfeld_towers import towers
+from drinfeld_towers import field, towers
 from drinfeld_towers.errors import (
     NotInSubfield,
     NotOnCurve,
@@ -40,6 +41,8 @@ P2152 = TowerParams(2, 1, 5, 2)
 P531 = TowerParams(5, 1, 3, 1)
 F4 = P221.field(2)
 W = F4.from_int(2)
+# towers whose F and G level sizes are checked against the walks
+LEVEL_SIZE_TOWERS = [P531, P2232, TowerParams(3, 1, 3, 2), P321, P2152, P221, TowerParams(7, 1, 2, 1)]
 
 
 class TestEvalF:
@@ -187,8 +190,8 @@ class TestTraceHyperplane:
         for x in xs:
             f_sols = solve_affine(q_poly(params, ctx, x), x)
             assert fiber_solutions(params, ctx, x) == f_sols
-            assert list(towers._level_candidates(params, ctx, "F", x)) == f_sols
-            assert list(towers._level_candidates(params, ctx, "G", x)) == _g_solve(params, ctx, x)
+            assert list(towers._level_candidates(params, ctx, "F")(x)) == f_sols
+            assert list(towers._level_candidates(params, ctx, "G")(x)) == _g_solve(params, ctx, x)
 
     def test_g_solves_once_per_norm(self):
         # c = X^{(q^m-1)/(q-1)} is the norm of X to F_q^*, so all 124 X share 4 solves
@@ -296,10 +299,12 @@ class TestEnumeration:
         ids=["2132", "3132", "5131", "2232"],
     )
     def test_walks_match_listing(self, params, top):
-        # oracle: the walked count is the length of the listing it replaces
+        # oracle: the hyperplane count is the length of the listing it
+        # replaces, and the walk's count
+        walk = towers._chain_counts(params, params.field(params.m), "F")
         for n in range(1, top + 1):
             count, formula = count_supersingular(params, n)
-            assert count == formula == len(enumerate_rational(params, n, "F"))
+            assert count == formula == len(enumerate_rational(params, n, "F")) == next(walk)
 
     @pytest.mark.parametrize("params", [P221, P321, P2232, P331], ids=["221", "321", "2232", "331"])
     def test_chain_counts_every_variant(self, params):
@@ -309,6 +314,31 @@ class TestEnumeration:
             sizes = [next(walk) for _ in range(3)]
             levels = range(1, 4) if variant != "H" else range(2, 5)
             assert sizes == [len(enumerate_rational(params, n, variant)) for n in levels]
+            assert sizes == list(itertools.islice(towers._level_sizes(params, ctx, variant), 3))
+
+    @pytest.mark.parametrize("params", LEVEL_SIZE_TOWERS, ids=lambda pr: f"{pr.p}{pr.e}{pr.m}{pr.j}")
+    def test_hyperplane_sizes_match_walks(self, params):
+        # oracle: F's (q^m-1)|T_1|^{n-1} and G's N_m sum_c |T_c|^{n-1} are the walked counts
+        ctx = params.field(params.m)
+        for variant in ("F", "G"):
+            walk = towers._chain_counts(params, ctx, variant)
+            sizes = towers._level_sizes(params, ctx, variant)
+            assert [next(sizes) for _ in range(5)] == [next(walk) for _ in range(5)]
+
+    def test_counts_list_no_field(self, monkeypatch):
+        # F and G sizes come from ranks; the field is still held to ENUMERATION_CAP
+        def fail(*args):
+            raise AssertionError("field listed")
+
+        ctx = P2152.field(5)
+        monkeypatch.setattr(type(ctx), "all_elements", fail)
+        monkeypatch.setattr(type(ctx), "subfield_elements", fail)
+        assert count_supersingular(P2152, 40) == (31 * 16**39,) * 2
+        assert next(itertools.islice(towers._level_sizes(P2152, ctx, "G"), 3, None)) == 31 * 16**3
+        monkeypatch.setattr(field, "ENUMERATION_CAP", 31)
+        for variant in ("F", "G"):
+            with pytest.raises(SizeCapExceeded, match="enumeration cap"):
+                next(towers._level_sizes(P2152, ctx, variant))
 
     def test_walk_reaches_deep_levels(self):
         assert count_supersingular(P531, 12) == (295_639_038_085_937_500,) * 2
@@ -351,7 +381,7 @@ class TestEnumeration:
         for i in (1, 2):
             prev = good[i - 1]
             bad = next(y for y in ctx.all_elements()
-                       if y != ctx.zero and y not in towers._level_candidates(P232, ctx, variant, prev))
+                       if y != ctx.zero and y not in towers._level_candidates(P232, ctx, variant)(prev))
             with pytest.raises(NotOnCurve):
                 TowerPoint(variant, P232, ctx, good[:i] + (bad,) + good[i + 1 :])
 
