@@ -17,11 +17,13 @@ primitive element g, in the small-field design of FLINT's `fq_zech`: with
 exp[k] = g^k, log = exp^{-1} (zero maps to None) and the Zech logarithms
 zech[k] = log(1 + g^k), every operation is one lookup, addition included,
 since g^a + g^b = g^{a + zech[b - a]} (Huber, "Some comments on Zech's
-logarithms", IEEE Trans. IT 1990).  Larger fields use the coordinate
-arithmetic (`_add_coords`, `_mul_coords`, `_pow_coords`, `_frobenius_coords`),
-which also builds the tables and serves as their test oracle.  A product's
-fold of y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples of
-sparse rows, in the one loop `_BaseOps.combine`.  The cap is low because
+logarithms", IEEE Trans. IT 1990).  The `FieldCtx` methods are the
+coordinate arithmetic.  `_build_logs` builds the tables with them and then
+binds its lookups on the instance under the names `add`, `neg`, `mul`,
+`inv`, `pow` and `frobenius`, so each field chooses its arithmetic once, at
+construction, and the class methods stay the tables' test oracle.  A
+product's fold of y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples
+of sparse rows, in the one loop `_BaseOps.combine`.  The cap is low because
 tables cost memory and build time that few operations repay.
 
 All contexts are canonical: both moduli are the least monic irreducibles of
@@ -382,8 +384,8 @@ class FieldCtx:
         self.base_modulus = self._bops.modulus
         self.ext_modulus = least_irreducible(d, self._bops)
         self.zero: FieldElem = (0,) * d
-        self.one: FieldElem = tuple([1] + [0] * (d - 1))
-        self.inv = functools.cache(self.inv)  # one extended Euclid per element
+        self.basis = tuple(self._pad((0,) * t + (1,)) for t in range(d))  # 1, y, ..., y^{d-1}
+        self.one: FieldElem = self.basis[0]
         self.format_elem = functools.cache(self.format_elem)  # one digit string per element
         # y^{d+i} reduced mod ext_modulus, for multiplication reduction
         self._high_pows = [
@@ -394,21 +396,27 @@ class FieldCtx:
         self._log = None  # element -> k with g^k = element (zero -> None), when q^d <= LOG_CAP
         if self.q**d <= LOG_CAP:
             self._build_logs()
+        else:
+            self.inv = functools.cache(self.inv)  # one extended Euclid per element
 
     def _build_logs(self) -> None:
-        """exp[k] = g^k, log = exp^{-1} with zero -> None, and zech[k] = log(1 + g^k).
+        """exp[k] = g^k, log = exp^{-1} with zero -> None, and zech[k] = log(1 + g^k);
+        then add, neg, mul, inv, pow and frobenius bound on this instance as
+        lookups in them.
 
         Any primitive g gives the same arithmetic.  For g = y + c the step
         x -> x g is a shift, one fold of y^d = -(f_0 + ... + f_{d-1} y^{d-1})
         and c x, so the first such g that is primitive makes a cheap table;
         where none is (F_{2^9}), the least primitive g in from_int order is
-        stepped by `_mul_coords`.
+        stepped by the coordinate `mul`.  The build calls the class methods
+        by name, so it never runs on lookups bound earlier.
         """
-        n, ops, one, f = self.q**self.d - 1, self._bops, self.one, self.ext_modulus
+        n, d, ops, f = self.q**self.d - 1, self.d, self._bops, self.ext_modulus
+        one, zero = self.one, self.zero
         primes = _prime_factors(n)
 
         def primitive(g):
-            return g != self.zero and all(self._pow_coords(g, n // r) != one for r in primes)
+            return g != zero and all(FieldCtx.pow(self, g, n // r) != one for r in primes)
 
         for c in range(self.q):
             def step(x, neg_c=ops.neg(c)):
@@ -419,27 +427,65 @@ class FieldCtx:
                 break
         else:
             g = next(g for g in map(self.from_int, range(1, n + 1)) if primitive(g))
-            step = functools.partial(self._mul_coords, g)
+            step = functools.partial(FieldCtx.mul, self, g)
         exp = [one]
         for _ in range(n - 1):
             exp.append(step(exp[-1]))
         log = dict(zip(exp, range(n)))
-        log[self.zero] = None
+        log[zero] = None
         # 1 + g^k differs from g^k only in coordinate 0
         zech = [log[(ops.add(x[0], 1),) + x[1:]] for x in exp]
-        self._n = n
-        self._half = n // 2 if self.p > 2 else 0  # -1 = g^{n/2} for odd q
-        self._qpow = [self.q**i % n for i in range(self.d)]  # x^{q^i} = g^{k q^i}
         # doubled, so a sum or difference of two logs needs no reduction
-        self._exp, self._zech, self._log = exp + exp, zech + zech, log
+        exp, zech = exp + exp, zech + zech
+        half = n // 2 if self.p > 2 else 0  # -1 = g^{n/2} for odd q
+        qpow = [self.q**i % n for i in range(d)]  # x^{q^i} = g^{k q^i}
+        self._exp, self._log = exp, log
+        # for an element the log is None exactly at zero
+
+        def add(x, y):
+            lx, ly = log[x], log[y]
+            if lx is None:
+                return y
+            if ly is None:
+                return x
+            k = zech[ly - lx]  # g^lx + g^ly = g^lx (1 + g^{ly - lx})
+            return zero if k is None else exp[lx + k]
+
+        def neg(x):
+            k = log[x]
+            return x if k is None else exp[k + half]
+
+        def mul(x, y):
+            lx, ly = log[x], log[y]
+            if lx is None or ly is None:
+                return zero
+            return exp[lx + ly]
+
+        def inv(x):
+            k = log[x]
+            if k is None:
+                raise DivisionByZero("inverse of 0")
+            return exp[n - k]
+
+        def power(x, e):
+            k = log[x]
+            if k is None:
+                return inv(x) if e < 0 else zero if e else one  # inv raises at zero
+            return exp[k * e % n]
+
+        def frobenius(x, i=1):
+            k = log[x]
+            return x if k is None else exp[k * qpow[i % d] % n]
+
+        self.add, self.neg, self.mul = add, neg, mul
+        self.inv, self.pow, self.frobenius = inv, power, frobenius
 
     @functools.cached_property
     def _frob_y(self) -> list:
         """(y^t)^q for each basis power; coefficients live in F_q and are fixed
         by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates.
-        Built on first use, so a tabled field never builds it."""
-        units = (self._pad((0,) * t + (1,)) for t in range(self.d))
-        return [_sparse(self._pow_coords(u, self.q)) for u in units]
+        Built on first use, so a tabled field builds it only for an oracle."""
+        return [_sparse(FieldCtx.pow(self, u, self.q)) for u in self.basis]
 
     # -- representation helpers ------------------------------------------------
 
@@ -498,32 +544,10 @@ class FieldCtx:
 
     # -- arithmetic ------------------------------------------------------------
 
-    # with tables each operation is one lookup; for an element the log is
-    # None exactly at zero
+    # the coordinate arithmetic; a tabled field shadows add, neg, mul, inv, pow
+    # and frobenius on the instance with lookups (`_build_logs`)
 
     def add(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        log = self._log
-        if log is None:
-            return self._add_coords(x, y)
-        lx, ly = log[x], log[y]
-        if lx is None:
-            return y
-        if ly is None:
-            return x
-        k = self._zech[ly - lx]  # g^lx + g^ly = g^lx (1 + g^{ly - lx})
-        return self.zero if k is None else self._exp[lx + k]
-
-    def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        return self.add(x, self.neg(y))
-
-    def neg(self, x: FieldElem) -> FieldElem:
-        log = self._log
-        if log is None:
-            return self.base_scale(self.p - 1, x)  # -1 packs to p - 1 for every e
-        k = log[x]
-        return x if k is None else self._exp[k + self._half]
-
-    def _add_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
         """Plain ints mod p for e = 1, else F_q's addition (`_BaseOps.add`)
         per coordinate."""
         if self.e == 1:
@@ -531,16 +555,13 @@ class FieldCtx:
             return tuple([(a + b) % p for a, b in zip(x, y)])
         return tuple(map(self._bops.add, x, y))
 
-    def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        log = self._log
-        if log is None:
-            return self._mul_coords(x, y)
-        lx, ly = log[x], log[y]
-        if lx is None or ly is None:
-            return self.zero
-        return self._exp[lx + ly]
+    def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
+        return self.add(x, self.neg(y))
 
-    def _mul_coords(self, x: FieldElem, y: FieldElem) -> FieldElem:
+    def neg(self, x: FieldElem) -> FieldElem:
+        return self.base_scale(self.p - 1, x)  # -1 packs to p - 1 for every e
+
+    def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
         """Schoolbook product with y^{d+i} folded back by `_high_pows`.
 
         For e = 1 and d (p-1)^2 < 256 the convolution is one int product of
@@ -566,51 +587,29 @@ class FieldCtx:
         return tuple(self._bops.scale_row(b, x))
 
     def inv(self, x: FieldElem) -> FieldElem:
-        log = self._log
-        if log is None:
-            if x == self.zero:
-                raise DivisionByZero("inverse of 0")
-            return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
-        k = log[x]
-        if k is None:
+        """By the extended Euclid, `poly_inv_mod`."""
+        if x == self.zero:
             raise DivisionByZero("inverse of 0")
-        return self._exp[self._n - k]
+        return self._pad(poly_inv_mod(x, self.ext_modulus, self._bops))
 
     def pow(self, x: FieldElem, n: int) -> FieldElem:
+        """x^n by square-and-multiply on the coordinate `mul`; n < 0 inverts x."""
         if n < 0:
             x, n = self.inv(x), -n
-        log = self._log
-        if log is None:
-            return self._pow_coords(x, n)
-        k = log[x]
-        if k is None:
-            return self.zero if n else self.one
-        return self._exp[k * n % self._n]
-
-    def _pow_coords(self, x: FieldElem, n: int) -> FieldElem:
-        """x^n for n >= 0 by square-and-multiply."""
         if n == 0:
             return self.one
         # left to right from the top bit: one squaring per lower bit
-        r = x
+        mul, r = FieldCtx.mul, x
         for bit in bin(n)[3:]:
-            r = self._mul_coords(r, r)
+            r = mul(self, r, r)
             if bit == "1":
-                r = self._mul_coords(r, x)
+                r = mul(self, r, x)
         return r
 
     def frobenius(self, x: FieldElem, i: int = 1) -> FieldElem:
-        """x^{q^i}; x^{q^d} = x, so i wraps mod d."""
-        i %= self.d
-        log = self._log
-        if log is None:
-            return self._frobenius_coords(x, i)
-        k = log[x]
-        return x if k is None else self._exp[k * self._qpow[i] % self._n]
-
-    def _frobenius_coords(self, x: FieldElem, i: int) -> FieldElem:
-        """x^{q^i}: x -> x^q fixes F_q, so each step is the F_q-linear map
-        sending the coordinates of x to their combination of `_frob_y`."""
+        """x^{q^i}; x^{q^d} = x, so i wraps mod d.  x -> x^q fixes F_q, so each
+        step is the F_q-linear map sending the coordinates of x to their
+        combination of `_frob_y`."""
         combine, rows = self._bops.combine, self._frob_y
         for _ in range(i % self.d):
             x = combine(self.zero, x, rows)
@@ -643,17 +642,16 @@ class FieldCtx:
         This is the one place that lists a whole field, so it refuses one of
         more than ENUMERATION_CAP elements.
         """
-        self.check_enumerable(m)
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
+        self.check_enumerable(m)
         cached = self._subfield_cache.get(m)
         if cached is not None:
             return list(cached)
         from .linalg import solve
 
         # fixed points of frob^m: the kernel of u -> u^{q^m} - u
-        units = [self._pad((0,) * t + (1,)) for t in range(self.d)]
-        cols = [self.sub(self.frobenius(u, m), u) for u in units]
+        cols = [self.sub(self.frobenius(u, m), u) for u in self.basis]
         span = self.span_elements(solve(tuple(zip(*cols)), self.zero, self._bops)[1])
         self._subfield_cache[m] = tuple(span)
         return span

@@ -164,7 +164,7 @@ def linear_matrix(f: TwistedPoly):
     Column i holds the coordinates of f(y^i) in the basis {1, y, ..., y^{d-1}}.
     """
     ctx = f.ctx
-    return tuple(zip(*(evaluate(f, ctx._pad((0,) * t + (1,))) for t in range(ctx.d))))
+    return tuple(zip(*(evaluate(f, u) for u in ctx.basis)))
 
 
 class Subspace(Value):

@@ -62,32 +62,31 @@ def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> Fi
     return ctx.sub(ctx.mul(Y, ctx.pow(acc, q - 1)), X)
 
 
-def _h_denominators(params: TowerParams, ctx: FieldCtx, u: FieldElem):
+def _h_terms(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem) -> tuple:
+    """num1, den1, num2, den2 of the H-recursion num1/den1 - num2/den2 (see `eval_H`)."""
+    j, k = params.j, params.k
     a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-    den1 = ctx.sub(ctx.frobenius(ctx.trace_partial(u, params.j), params.k), a_c)
-    den2 = ctx.sub(ctx.trace_partial(u, params.k), b_c)
-    return den1, den2
+    return (
+        ctx.sub(ctx.trace_partial(v, j), a_c),
+        ctx.sub(ctx.frobenius(ctx.trace_partial(u, j), k), a_c),
+        ctx.sub(ctx.frobenius(ctx.trace_partial(v, k), j), b_c),
+        ctx.sub(ctx.trace_partial(u, k), b_c),
+    )
 
 
 def eval_H(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem) -> FieldElem:
     """(tr_j(v)-a)/(tr_j(u)^{q^k}-a) - (tr_k(v)^{q^j}-b)/(tr_k(u)-b)."""
-    den1, den2 = _h_denominators(params, ctx, u)
+    num1, den1, num2, den2 = _h_terms(params, ctx, u, v)
     if den1 == ctx.zero:
         raise ZeroDenominator("tr_j(u)^{q^k} - a vanishes")
     if den2 == ctx.zero:
         raise ZeroDenominator("tr_k(u) - b vanishes")
-    a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-    num1 = ctx.sub(ctx.trace_partial(v, params.j), a_c)
-    num2 = ctx.sub(ctx.frobenius(ctx.trace_partial(v, params.k), params.j), b_c)
     return ctx.sub(ctx.mul(num1, ctx.inv(den1)), ctx.mul(num2, ctx.inv(den2)))
 
 
 def eval_H_cross(params: TowerParams, ctx: FieldCtx, u: FieldElem, v: FieldElem) -> FieldElem:
     """Cross-multiplied form of the H-recursion, safe at degenerate denominators."""
-    den1, den2 = _h_denominators(params, ctx, u)
-    a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-    num1 = ctx.sub(ctx.trace_partial(v, params.j), a_c)
-    num2 = ctx.sub(ctx.frobenius(ctx.trace_partial(v, params.k), params.j), b_c)
+    num1, den1, num2, den2 = _h_terms(params, ctx, u, v)
     return ctx.sub(ctx.mul(num1, den2), ctx.mul(num2, den1))
 
 
@@ -188,12 +187,12 @@ def _solve_successors(params: TowerParams, ctx: FieldCtx, variant: str, prev: Fi
     q, j, k = ctx.q, params.j, params.k
     if variant == "G":
         return tuple(_on_hyperplane(params, ctx, prev, (q**params.m - 1) // (q - 1), q - 1))
-    den1, den2 = _h_denominators(params, ctx, prev)
+    # num1 = -a and num2 = -b at v = 0, so c = a den2 - b den1
+    num1, den1, num2, den2 = _h_terms(params, ctx, prev, ctx.zero)
     if den1 == ctx.zero or den2 == ctx.zero:
         return ()
     f = TwistedPoly(ctx, [den2] * j + [ctx.neg(den1)] * k)
-    a_c, b_c = ctx.scalar(params.a), ctx.scalar(params.b)
-    c = ctx.sub(ctx.mul(a_c, den2), ctx.mul(b_c, den1))
+    c = ctx.sub(ctx.mul(num2, den1), ctx.mul(num1, den2))
     return tuple(v for v in solve_affine(f, c) if v != ctx.zero)
 
 

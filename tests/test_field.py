@@ -1,3 +1,4 @@
+import functools
 import json
 import operator
 import random
@@ -250,13 +251,13 @@ class TestArithmetic:
     def _pow_two_power_muls(monkeypatch, ctx) -> list:
         """Coordinate multiplies made by ctx.pow(x, 2^k) for k = 0..6."""
         calls = []
-        mul = FieldCtx._mul_coords
+        mul = FieldCtx.mul
 
         def counting_mul(self, x, y):
             calls.append(1)
             return mul(self, x, y)
 
-        monkeypatch.setattr(FieldCtx, "_mul_coords", counting_mul)
+        monkeypatch.setattr(FieldCtx, "mul", counting_mul)
         x = ctx.from_int(7)
         counts = []
         for k in range(7):
@@ -476,7 +477,7 @@ class TestFrobenius:
                 prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
                 assert ctx.mul(x, y) == ctx.element(prod)
 
-    # the same oracle on both e = 1 paths of `_mul_coords`, above the cap:
+    # the same oracle on both e = 1 paths of the coordinate `mul`, above the cap:
     # F_{3^8} and F_{5^10} pack the coordinates into bytes, and in F_{17^2}
     # d (p-1)^2 >= 256 rules bytes out
     @pytest.mark.parametrize("p,e,d", [(3, 1, 8), (5, 1, 10), (17, 1, 2)])
@@ -490,16 +491,16 @@ class TestFrobenius:
         ]
         for x, y in pairs:
             prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
-            assert ctx._mul_coords(x, y) == ctx.element(prod)
+            assert FieldCtx.mul(ctx, x, y) == ctx.element(prod)
         for x, _ in pairs[:60]:
             for i in range(d):
-                assert ctx._frobenius_coords(x, i) == ctx._pow_coords(x, ctx.q**i)
+                assert FieldCtx.frobenius(ctx, x, i) == FieldCtx.pow(ctx, x, ctx.q**i)
 
 
 class TestNonPrimeBaseCoordinates:
-    """The coordinate path over F_q with e > 1: `_mul_coords` against
-    poly_mod(poly_mul(...)) and `_frobenius_coords(x, i)` against
-    `_pow_coords(x, q^i)`, with F_q on tables (LOG_CAP patched to q) and on
+    """The coordinate path over F_q with e > 1: `FieldCtx.mul` against
+    poly_mod(poly_mul(...)) and `FieldCtx.frobenius(x, i)` against
+    `FieldCtx.pow(x, q^i)`, with F_q on tables (LOG_CAP patched to q) and on
     its cached operations (LOG_CAP patched to 0).  Only F_{2^e} has tables."""
 
     @pytest.mark.parametrize(
@@ -516,10 +517,10 @@ class TestNonPrimeBaseCoordinates:
         els = [ctx.zero, ctx.one, full] + [ctx.from_int(rng.randrange(size)) for _ in range(150)]
         for x, y in zip(els, els[1:] + els[:1]):
             prod = poly_mod(poly_mul(x, y, ctx._bops), ctx.ext_modulus, ctx._bops)
-            assert ctx._mul_coords(x, y) == ctx.element(prod)
+            assert FieldCtx.mul(ctx, x, y) == ctx.element(prod)
         for x in els[:40]:
             for i in range(d):
-                assert ctx._frobenius_coords(x, i) == ctx._pow_coords(x, ctx.q**i)
+                assert FieldCtx.frobenius(ctx, x, i) == FieldCtx.pow(ctx, x, ctx.q**i)
 
     def test_f4_base_on_tables(self):
         # F_{4^6} is above LOG_CAP and F_4 is not: the coordinate loops run
@@ -569,7 +570,8 @@ def _check_log_keys(ctx, els):
 
 
 class TestLogTables:
-    """The table path against the coordinate arithmetic it is built with."""
+    """The table path, bound on the instance, against the coordinate
+    arithmetic of the class methods it is built with."""
 
     @pytest.mark.parametrize("p,e,d", [(2, 2, 3), (3, 1, 3), (2, 1, 6), (5, 1, 3)])
     def test_matches_coordinate_path(self, p, e, d):
@@ -577,19 +579,26 @@ class TestLogTables:
         size = ctx.q**ctx.d
         els = ctx.all_elements()
         _check_log_keys(ctx, els)  # g generates every unit
+        assert {"add", "neg", "mul", "inv", "pow", "frobenius"} <= vars(ctx).keys()
         for x in els:
             for y in els:
-                assert ctx.mul(x, y) == ctx._mul_coords(x, y)
-            for i in range(ctx.d):
-                assert ctx.frobenius(x, i) == ctx._frobenius_coords(x, i)
+                assert ctx.mul(x, y) == FieldCtx.mul(ctx, x, y)
+                assert ctx.add(x, y) == FieldCtx.add(ctx, x, y)
+                assert ctx.sub(x, y) == FieldCtx.add(ctx, x, FieldCtx.neg(ctx, y))
+            assert ctx.neg(x) == FieldCtx.neg(ctx, x)
+            for i in range(-d, 2 * d):
+                assert ctx.frobenius(x, i) == FieldCtx.frobenius(ctx, x, i)
             for n in range(2 * size + 1):
-                assert ctx.pow(x, n) == ctx._pow_coords(x, n)
+                assert ctx.pow(x, n) == FieldCtx.pow(ctx, x, n)
             if x == ctx.zero:
                 continue
             x_inv = ctx._pad(poly_inv_mod(x, ctx.ext_modulus, ctx._bops))
-            assert ctx.inv(x) == x_inv
+            assert ctx.inv(x) == FieldCtx.inv(ctx, x) == x_inv
             for n in range(1, 4):
-                assert ctx.pow(x, -n) == ctx._pow_coords(x_inv, n)
+                assert ctx.pow(x, -n) == FieldCtx.pow(ctx, x_inv, n)
+        for pow_ in (ctx.pow, functools.partial(FieldCtx.pow, ctx)):
+            with pytest.raises(DivisionByZero):
+                pow_(ctx.zero, -1)
 
     def test_zero(self):
         ctx = make_field(2, 2, 3)
@@ -606,9 +615,9 @@ class TestLogTables:
         rng = random.Random(1)
         for _ in range(2000):
             x, y = ctx.from_int(rng.randrange(2**10)), ctx.from_int(rng.randrange(2**10))
-            assert ctx.mul(x, y) == ctx._mul_coords(x, y)
+            assert ctx.mul(x, y) == FieldCtx.mul(ctx, x, y)
             i = rng.randrange(ctx.d)
-            assert ctx.frobenius(x, i) == ctx._frobenius_coords(x, i)
+            assert ctx.frobenius(x, i) == FieldCtx.frobenius(ctx, x, i)
 
     # the exp table is stepped by x -> x g; check it against powers of g made
     # by the coordinate multiply, for g = y, for g = y + c with c != 0, and for
@@ -626,19 +635,19 @@ class TestLogTables:
         n = ctx.q**d - 1
         assert ctx._exp[1] == g and len(ctx._exp) == 2 * n
         for k in range(2 * n):
-            assert ctx._exp[k] == ctx._pow_coords(g, k % n)
+            assert ctx._exp[k] == FieldCtx.pow(ctx, g, k % n)
 
     def test_build_multiplies_only_to_test_primitivity(self, monkeypatch):
         # F_{3^6}: g = y passes the test x^{728/r} != 1 for r = 2, 7, 13, and
         # each exp entry is a shift and one fold, with no coordinate multiply
         calls = []
-        mul = FieldCtx._mul_coords
+        mul = FieldCtx.mul
 
         def counting_mul(self, x, y):
             calls.append(1)
             return mul(self, x, y)
 
-        monkeypatch.setattr(FieldCtx, "_mul_coords", counting_mul)
+        monkeypatch.setattr(FieldCtx, "mul", counting_mul)
         FieldCtx(3, 1, 6)
         # square-and-multiply makes (bits - 1) squarings and (ones - 1) multiplies
         exps = (728 // 2, 728 // 7, 728 // 13)
@@ -649,26 +658,34 @@ class TestLogTables:
         # with g = y or g = y + c no exp entry is a coordinate multiply: every
         # call comes from the powers of the primitivity test
         callers = []
-        mul = FieldCtx._mul_coords
+        mul = FieldCtx.mul
 
         def recording_mul(self, x, y):
             callers.append(sys._getframe(1).f_code.co_name)
             return mul(self, x, y)
 
-        monkeypatch.setattr(FieldCtx, "_mul_coords", recording_mul)
+        monkeypatch.setattr(FieldCtx, "mul", recording_mul)
         FieldCtx(p, e, d)
-        assert set(callers) == {"_pow_coords"}
+        assert set(callers) == {"pow"}
 
     def test_tabled_suite_adds_no_coordinates(self, monkeypatch):
-        # every field lemma1_6 builds at (3,1,3,2) is tabled: F_{3^3} and F_{3^6}
+        # every field lemma1_6 builds at (3,1,3,2) is tabled: F_{3^3} and F_{3^6}.
+        # They are built before counting, since a build tests primitivity by
+        # coordinate powers
+        for d in (3, 6):
+            make_field(3, 1, d)
         calls = []
-        add = FieldCtx._add_coords
-        monkeypatch.setattr(FieldCtx, "_add_coords", lambda *a: calls.append(1) or add(*a))
+        for name in ("add", "mul"):
+            op = getattr(FieldCtx, name)
+            monkeypatch.setattr(FieldCtx, name, lambda *a, op=op: calls.append(1) or op(*a))
         report = run_suite("lemma1_6", ((3, 1, 3, 2),))
         assert report and calls == []
 
     def test_no_tables_above_cap(self):
-        assert make_field(2, 1, 11)._log is None
+        ctx = make_field(2, 1, 11)
+        assert ctx._log is None
+        # the class methods run; only the Euclid inverse is cached on the instance
+        assert {"add", "neg", "mul", "pow", "frobenius"}.isdisjoint(vars(ctx)) and "inv" in vars(ctx)
 
     def test_tables_leave_reports_unchanged(self, monkeypatch):
         # oracle for the table path: with no field tabled, a verify report
@@ -745,6 +762,12 @@ class TestTraceAndSubfields:
         ctx = make_field(2, 1, 4)
         assert len(ctx.subfield_elements(2)) == 4
         assert ctx.subfield_elements(4) == ctx.all_elements()
+
+    def test_subfield_degree_checked_before_listing_cap(self):
+        # 2^20 elements is past ENUMERATION_CAP, but 20 not dividing 6 is the
+        # input error
+        with pytest.raises(DegreeNotDividing):
+            make_field(2, 1, 6).subfield_elements(20)
 
     def test_subfield_elements_one_elimination(self, monkeypatch):
         calls = []
