@@ -3,15 +3,23 @@
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
 3 resource limit hit (a size cap, or memory).  Reports embed the run
 configuration that produced them.
+
+Each subcommand's options are declared once, in `COMMANDS`.  A well-formed
+`<command> --name value ...` is parsed straight from that table; any other
+argv (help, `--name=value`, abbreviations, repeats, values starting with
+"-", invalid or missing options) goes to the argparse parser built from the
+same table, which alone prints usage, help and errors.  argparse is imported
+only then: it and its gettext cost a few milliseconds of every command's
+start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+import types
 
 from .errors import AlgebraError, NotPrime, SizeCapExceeded
 from .field import is_prime, size_cap
@@ -48,6 +56,8 @@ class RunConfig(Value):
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
+        import argparse  # an error: argparse reports it
+
         raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
     return v
 
@@ -158,44 +168,47 @@ def cmd_bound(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand's help line and options, each option as its add_argument
+# keywords (type or choices, default, required, help).
+_TOWER = {
+    "p": {"type": int, "required": True},
+    "e": {"type": int, "default": 1},
+    "m": {"type": int, "required": True},
+    "j": {"type": int, "required": True},
+}
+_LEVEL = {"n": {"type": _positive_int, "required": True}}
+COMMANDS = {
+    "points": ("enumerate rational tower points", {
+        **_TOWER, **_LEVEL,
+        "variant": {"choices": ("F", "G", "H"), "required": True},
+        "format": {"choices": ("json", "csv"), "default": "json"},
+    }),
+    "fibers": ("solve Q_x(y) = x over F_{q^m}", {
+        **_TOWER, "x": {"required": True, "help": "element in canonical [d0,d1,...] form"},
+    }),
+    "ss-count": ("supersingular point count vs formula", {**_TOWER, **_LEVEL}),
+    "verify": ("run a property-verification suite", {
+        "suite": {"choices": SUITES + ("all",), "required": True},
+        **{name: {"type": int} for name in "pemj"},
+        "seed": {"type": int, "default": 0},
+    }),
+    "bound": ("exact rational point-count bound", {"p": _TOWER["p"], "m": _TOWER["m"]}),
+}
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="drinfeld-towers",
         description="Drinfeld modular tower calculator and property verifier",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_params(sp, with_n=False):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--e", type=int, default=1)
-        sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--j", type=int, required=True)
-        if with_n:
-            sp.add_argument("--n", type=_positive_int, required=True)
-
-    sp = sub.add_parser("points", help="enumerate rational tower points")
-    add_params(sp, with_n=True)
-    sp.add_argument("--variant", choices=("F", "G", "H"), required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("fibers", help="solve Q_x(y) = x over F_{q^m}")
-    add_params(sp)
-    sp.add_argument("--x", required=True, help="element in canonical [d0,d1,...] form")
-
-    sp = sub.add_parser("ss-count", help="supersingular point count vs formula")
-    add_params(sp, with_n=True)
-
-    sp = sub.add_parser("verify", help="run a property-verification suite")
-    sp.add_argument("--suite", choices=SUITES + ("all",), required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--e", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("bound", help="exact rational point-count bound")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    for command, (help, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help)
+        for name, spec in options.items():
+            sp.add_argument("--" + name, **spec)
     return ap
 
 
@@ -208,12 +221,43 @@ _HANDLERS = {
 }
 
 
+def fast_parse(argv) -> types.SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, for an argv
+    `<command> --name value ...` in which each name is declared for the
+    command and given once and no value starts with "-"; None for any other
+    argv, and for a value argparse would refuse or a missing required option."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = COMMANDS[argv[0]][1]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        spec = options.get(name) if flag[:2] == "--" else None
+        if spec is None or name in given or text[:1] == "-":
+            return None
+        if "choices" in spec and text not in spec["choices"]:
+            return None
+        try:
+            given[name] = spec.get("type", str)(text)
+        except ValueError:  # int refused the text
+            return None
+        except __import__("argparse").ArgumentTypeError:  # imported only here, where _positive_int refused it
+            return None
+    if any(spec.get("required") and name not in given for name, spec in options.items()):
+        return None
+    defaults = {name: spec.get("default") for name, spec in options.items()}
+    return types.SimpleNamespace(command=argv[0], **{**defaults, **given})
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        ns = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = fast_parse(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
     if ns.command == "verify":
         if ns.suite == "roundtrip" and (ns.p, ns.e, ns.m, ns.j) != (None,) * 4:
             print("verify --suite roundtrip runs fixed cases; it takes no --p/--e/--m/--j",

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers.cli import _JSON, RunConfig, main
+from drinfeld_towers.cli import _JSON, COMMANDS, RunConfig, build_parser, fast_parse, main
 from drinfeld_towers.field import is_prime
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint, enumerate_rational, ihara_bound
 from drinfeld_towers.verify import SUITES
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(capsys, *argv):
@@ -437,3 +439,132 @@ def test_main_exit_codes(run_args):
         assert any(e["failures"] for e in doc["report"]) if argv[0] == "verify" else not doc["match"]
     if over_cap:
         assert code == 3
+
+
+# --- the fast parse against argparse --------------------------------------
+
+
+PARSER = build_parser()  # parse_args leaves a parser as it was
+
+
+def argparse_options(argv):
+    """vars(build_parser().parse_args(argv)), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# option names of any command, abbreviations, unknown names and help
+OPTION_NAMES = sorted({name for _, options in COMMANDS.values() for name in options}) + [
+    "su", "va", "se", "fo", "threads", "P", "h", "help", "",
+]
+ODD_TEXTS = [
+    "0", "-1", "-3", "-1_0", "-2 ", "3_0", " 3 ", "\uff13", "+2", "1e3",  # ints argparse may or may not take
+    "nope", "all", "F", "csv",  # no choice, or another option's
+    "", "--", "-", "-h", "--p", "x y", "[0,1]", "[", "abc",
+]
+DEFECTS = [None, "odd value", "odd value", "typo", "extra", "joined", "repeat", "before", "drop", "missing"]
+
+
+def plain_texts(spec):
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if "type" in spec:
+        return st.integers(1, 5).map(str)
+    return st.sampled_from(["[0,1]", "[1]", "abc", "x y"])
+
+
+@st.composite
+def token_argvs(draw):
+    """argv from a token grammar: a command with its declared options in any
+    order and plain values, then at most two defects, each of which argparse
+    may or may not accept."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[command][1]
+    pairs = [
+        ["--" + name, draw(plain_texts(options[name]))]
+        for name in draw(st.permutations(list(options)))
+        if options[name].get("required") or draw(st.booleans())
+    ]
+    defects = [draw(st.sampled_from(DEFECTS)), draw(st.one_of(st.none(), st.sampled_from(DEFECTS)))]
+    for defect in defects:
+        at = draw(st.integers(0, len(pairs)))
+        pair = pairs[at % len(pairs)] if pairs else None
+        if defect == "typo":
+            command = draw(st.sampled_from(["point", "Verify", "ss_count", "", "-h", "--help"]))
+        elif defect == "extra":  # an option of this command or another, with any number of dashes
+            name = draw(st.one_of(st.sampled_from(list(options)), st.sampled_from(OPTION_NAMES)))
+            texts = st.sampled_from(ODD_TEXTS)
+            if name in options:
+                texts = st.one_of(plain_texts(options[name]), texts)
+            pairs.insert(at, [draw(st.sampled_from(["--", "-", "", "---"])) + name, draw(texts)])
+        elif pair and defect == "odd value":
+            choices = options.get(pair[0][2:], {}).get("choices", ())
+            pair[1:] = [draw(st.sampled_from([*ODD_TEXTS, *(c.swapcase() for c in choices)]))]
+        elif pair and defect == "joined":
+            pair[:] = ["=".join(pair)]
+        elif pair and defect == "repeat":
+            pairs.insert(at, [pair[0], draw(st.sampled_from(["2", "F", "all", *ODD_TEXTS]))])
+        elif pair and defect == "drop":  # the last option's value
+            del pairs[-1][-1:]
+        elif pair and defect == "missing":
+            pairs.remove(pair)
+    tokens = [token for pair in pairs for token in pair]
+    if "before" in defects:
+        return tokens[:2] + [command] + tokens[2:]
+    return [command, *tokens]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(token_argvs())
+def test_fast_parse_is_argparse_or_declines(argv):
+    fast = fast_parse(argv)
+    assert fast is None or vars(fast) == argparse_options(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_runs())
+def test_fast_parse_accepts_what_argparse_accepts(run_args):
+    # cli_runs repeats no option and writes no value with a leading "-", so
+    # every argv it draws that argparse accepts is well formed
+    argv = run_args[0]
+    fast = fast_parse(argv)
+    assert (None if fast is None else vars(fast)) == argparse_options(argv)
+
+
+def _benchmark_workloads():
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    # run.py imports its sibling modules, and its dataclasses look it up by name
+    with mock.patch.object(sys, "path", [os.path.dirname(path), *sys.path]), \
+            mock.patch.dict(sys.modules, {spec.name: module}):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_fast_parse_accepts_the_benchmark_commands():
+    bench = _benchmark_workloads()
+    commands = [cmd for cmds in bench.WORKLOADS.values() for cmd in cmds]
+    assert len(commands) >= 9
+    for cmd in commands:
+        for seed in (bench.DEFAULT_SEED, 1):
+            argv = cmd.args(seed)
+            fast = fast_parse(argv)
+            assert fast is not None and vars(fast) == argparse_options(argv), argv
+
+
+# stdout, stderr and exit code of help and usage errors, captured with
+# COLUMNS=80 before the parser was built from COMMANDS
+with open(os.path.join(ROOT, "tests", "argparse_text.json"), encoding="utf-8") as _f:
+    ARGPARSE_TEXT = json.load(_f)
+
+
+@pytest.mark.parametrize("pin", ARGPARSE_TEXT, ids=lambda pin: " ".join(pin["argv"]) or "no-args")
+def test_argparse_text_is_unchanged(capsys, monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(pin["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (pin["exit"], pin["stdout"], pin["stderr"])

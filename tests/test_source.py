@@ -24,3 +24,26 @@ def test_no_broad_except(path):
             where = f"{path.name}:{node.lineno}"
             assert node.type is not None, f"bare except at {where}"
             assert not BROAD & set(_caught_names(node)), f"broad except at {where}"
+
+
+def _module_level(node):
+    """The nodes of `node` outside any function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_argparse(path):
+    # a well-formed command never needs argparse; only help and usage errors
+    # import it, from inside cli.py's functions
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in _module_level(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert "argparse" not in names, f"module-level argparse import at {path.name}:{node.lineno}"

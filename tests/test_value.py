@@ -97,3 +97,49 @@ def test_cli_import_skips_heavy_modules():
     added = set(json.loads(proc.stdout))
     assert "drinfeld_towers.cli" in added
     assert not added & {"dataclasses", "inspect", "fractions"}
+
+
+# one well-formed command of each subcommand, cheap enough to run together
+WELL_FORMED = [
+    ["points", "--p", "2", "--m", "2", "--j", "1", "--n", "2", "--variant", "F"],
+    ["fibers", "--p", "2", "--m", "2", "--j", "1", "--x", "[1,0]"],
+    ["ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "3"],
+    ["verify", "--suite", "lemma1_6", "--p", "2", "--m", "2", "--j", "1"],
+    ["bound", "--p", "3", "--m", "2"],
+]
+ARGPARSE_MODULES = ["argparse", "gettext", "locale"]
+
+
+def _run_main(argvs: list) -> dict:
+    """Run main on each argv in one fresh interpreter; its exit codes, stderr
+    and the modules of ARGPARSE_MODULES it loaded that site had not."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"argvs, watched = {argvs!r}, {ARGPARSE_MODULES!r}\n"
+        "before = set(sys.modules)\n"
+        "from drinfeld_towers.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    codes = [main(argv) for argv in argvs]\n"
+        "loaded = sorted(m for m in watched if m in sys.modules and m not in before)\n"
+        "print(json.dumps({'codes': codes, 'stderr': err.getvalue(), 'loaded': loaded}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_well_formed_commands_skip_argparse():
+    # argparse and the gettext and locale it loads cost a few ms of every
+    # command's start-up; only help and usage errors need them
+    run = _run_main(WELL_FORMED)
+    assert run == {"codes": [0] * len(WELL_FORMED), "stderr": "", "loaded": []}
+
+
+def test_malformed_command_still_prints_argparse_usage():
+    run = _run_main([["ss-count", "--p", "2", "--m", "2", "--j", "1", "--n", "0"]])
+    assert run["codes"] == [2] and "argparse" in run["loaded"]
+    assert run["stderr"].startswith("usage: drinfeld-towers ss-count [-h]")
+    assert run["stderr"].endswith("error: argument --n: must be at least 1, got 0\n")
