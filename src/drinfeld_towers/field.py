@@ -24,7 +24,11 @@ binds its lookups on the instance under the names `add`, `neg`, `mul`,
 construction, and the class methods stay the tables' test oracle.  A
 product's fold of y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples
 of sparse rows, in the one loop `_BaseOps.combine`.  The cap is low because
-tables cost memory and build time that few operations repay.
+tables cost memory and build time that few operations repay.  Work known to
+touch every element is the exception: a sweep lists its field, which holds it
+to ENUMERATION_CAP, and then calls `_build_logs` on it whatever the cap (see
+`verify`).  The build keeps zech, n = q^d - 1, log(-1) and q^i mod n on the
+instance for exponent arithmetic (`ore.ore_mul_logs`).
 
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
@@ -197,19 +201,12 @@ def _is_irreducible(f, ops) -> bool:
     irreducible factor of some degree i <= d/2 and y^{Q^i} - y is the product
     of all monic irreducibles of degree dividing i (Ben-Or, FOCS 1981; Shoup,
     "A Computational Introduction to Number Theory and Algebra", ch. 20).
+    The first gcd, with y^Q - y, finds every root in O(log Q) polynomial
+    steps, so no candidate is scanned point by point.
     """
     deg = len(f) - 1
     if deg <= 0:
         return False
-    # a root is a linear factor; most reducible candidates have one, and
-    # finding it by Horner costs no polynomial division
-    if deg >= 2:
-        for a in range(ops.size):
-            acc = 0
-            for c in reversed(f):
-                acc = ops.add(ops.mul(acc, a), c)
-            if acc == 0:
-                return False
     y = h = (0, 1)
     for _ in range(deg // 2):
         # h <- h^Q mod f, so h = y^{Q^i} mod f
@@ -440,6 +437,8 @@ class FieldCtx:
         half = n // 2 if self.p > 2 else 0  # -1 = g^{n/2} for odd q
         qpow = [self.q**i % n for i in range(d)]  # x^{q^i} = g^{k q^i}
         self._exp, self._log = exp, log
+        # the exponent arithmetic of `ore.ore_mul_logs` and the isogeny forms
+        self._zech, self._n, self._log_neg1, self._qpow = zech, n, half, qpow
         # for an element the log is None exactly at zero
 
         def add(x, y):

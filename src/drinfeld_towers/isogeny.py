@@ -4,7 +4,8 @@ Covers the auxiliary twisted polynomials eta_x, lambda_x, Q_x and the
 identities tying them together; the twisted module Phi_T = phi_{F(T)} with
 its bracket-coefficient expansion; kernel spaces of composite isogenies; and
 the marked-point / round-trip checks behind the level-structure
-correspondence.
+correspondence.  Over a tabled field, `phi_logs`, `lambda_logs` and the two
+identities also come in exponent form, on the discrete log s of x.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ZeroPoint,
 )
 from .field import FieldCtx, FieldElem, embed, is_prime, make_field
-from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul
+from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul, ore_mul_logs
 from .value import Value
 
 
@@ -109,6 +110,52 @@ def verify_lemma_1_6(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> bool:
     lhs = ore_mul(eta(params, ctx, x), phi.phi_T())
     rhs = ore_mul(q_poly(params, ctx, x), lambda_poly(params, ctx, x))
     return lhs == rhs
+
+
+# Exponent forms over a tabled field (`FieldCtx._build_logs`): with x = g^s
+# for its primitive g, a twisted polynomial is the list of its coefficients'
+# logs mod n = q^d - 1, None for zero (`ore.ore_mul_logs`).  Every
+# coefficient of eta_x, Q_x and lambda_x is a signed monomial in x, and
+# phi^x_T's g(x) a binomial, so none of them takes a field operation.
+
+
+def _twist_logs(ctx: FieldCtx, s: int, count: int) -> list:
+    """`_twists` at x = g^s: log c_i = s (1 - q^i)."""
+    n, qpow, d = ctx._n, ctx._qpow, ctx.d
+    return [s * (1 - qpow[i % d]) % n for i in range(count)]
+
+
+def phi_logs(params: TowerParams, ctx: FieldCtx, s: int) -> list:
+    """phi^x_T = 1 + g(x) tau^j - tau^m at x = g^s (`module_from_point`):
+    g(x) = x^{q^m - q^j} - x^{1 - q^j} = g^a - g^b = g^{a + zech[b + log(-1) - a]}."""
+    n, qpow, d, m, j = ctx._n, ctx._qpow, ctx.d, params.m, params.j
+    a, b = s * (qpow[m % d] - qpow[j % d]) % n, s * (1 - qpow[j % d]) % n
+    k = ctx._zech[(b + ctx._log_neg1 - a) % n]
+    coeffs = [None] * (m + 1)
+    coeffs[0], coeffs[m] = 0, ctx._log_neg1
+    coeffs[j] = None if k is None else (a + k) % n
+    return coeffs
+
+
+def lambda_logs(params: TowerParams, ctx: FieldCtx, s: int) -> list:
+    """`lambda_poly` at x = g^s: x^{q^k - 1} - tau^k."""
+    k = params.k
+    coeffs = [None] * (k + 1)
+    coeffs[0], coeffs[k] = s * (ctx._qpow[k % ctx.d] - 1) % ctx._n, ctx._log_neg1
+    return coeffs
+
+
+def lemma_1_6_logs(params: TowerParams, ctx: FieldCtx, s: int) -> bool:
+    """`verify_lemma_1_6` at x = g^s: eta_x is the twists c_0..c_{k-1} and Q_x
+    all m of them rotated by k."""
+    c, k = _twist_logs(ctx, s, params.m), params.k
+    lhs = ore_mul_logs(ctx, c[:k], phi_logs(params, ctx, s))
+    return lhs == ore_mul_logs(ctx, c[k:] + c[:k], lambda_logs(params, ctx, s))
+
+
+def intertwine_logs(ctx: FieldCtx, lam: list, phi_T: list, psi_T: list) -> bool:
+    """`check_intertwine` on logs: lam phi_T = psi_T lam."""
+    return ore_mul_logs(ctx, lam, phi_T) == ore_mul_logs(ctx, psi_T, lam)
 
 
 def F_and_f(params: TowerParams, ctx: FieldCtx) -> tuple:

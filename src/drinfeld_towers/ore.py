@@ -141,6 +141,31 @@ def ore_mul(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     return TwistedPoly(ctx, out)
 
 
+def ore_mul_logs(ctx: FieldCtx, f: list, g: list) -> list:
+    """`ore_mul` on coefficient logs over a tabled field, None standing for
+    zero: (g^a tau^i)(g^b tau^l) = g^{a + q^i b} tau^{i+l} with exponents
+    mod n = q^d - 1, and a sum is one Zech lookup, g^c + g^t =
+    g^{c + zech[t - c]}.  Trailing zeros are dropped, so equal products give
+    equal lists."""
+    n, zech, qpow, d = ctx._n, ctx._zech, ctx._qpow, ctx.d
+    out = [None] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a is None:
+            continue
+        qi = qpow[i % d]
+        for l, b in enumerate(g):
+            if b is None:
+                continue
+            t, c = (a + qi * b) % n, out[i + l]
+            if c is not None:  # zech is doubled, so t - c in (-n, n) needs no reduction
+                k = zech[t - c]
+                t = None if k is None else (c + k) % n
+            out[i + l] = t
+    while out and out[-1] is None:
+        out.pop()
+    return out
+
+
 def evaluate(f: TwistedPoly, mu: FieldElem) -> FieldElem:
     """f(mu) = sum g_i mu^{q^i}."""
     ctx = f.ctx

@@ -11,6 +11,12 @@ A case fails when its check returns false or raises one of PROPERTY_ERRORS
 the report, and the CLI exits 1.  Every other error propagates, so a resource
 limit hit inside a suite (a size cap, or memory) makes the CLI exit 3 with
 nothing on stdout.
+
+lemma1_6 and thm1_7 sweep every nonzero x of a field, so they table it first
+(`_sweep`), and compute each case on discrete logs: the exponent forms of
+`isogeny` (`lemma_1_6_logs`, `intertwine_logs`) multiply by `ore.ore_mul_logs`.
+The object checks `verify_lemma_1_6` and `check_intertwine` are their test
+oracle, and `check_intertwine` still checks thm1_7's chain composites.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from .isogeny import (
     check_intertwine,
     check_roundtrip,
     check_theta_marked_point,
-    lambda_poly,
-    verify_lemma_1_6,
+    intertwine_logs,
+    lambda_logs,
+    lemma_1_6_logs,
+    phi_logs,
 )
 from .ore import kernel, splitting_degree
 from .towers import enumerate_rational, fiber_solutions, iter_rational, rsu
@@ -84,26 +92,39 @@ def _listed(ctx, coords) -> str:
     return str([ctx.format_elem(c) for c in coords])
 
 
+def _sweep(ctx) -> list:
+    """The nonzero elements of ctx in canonical order, with ctx tabled.
+
+    A sweep's Theta(q^d) work is known before it starts, and a build of the
+    log tables costs about as much, so the tables are bought at once.  The
+    listing comes first, so a field above ENUMERATION_CAP is refused before
+    any build."""
+    elements = ctx.all_elements()
+    if ctx._log is None:
+        ctx._build_logs()
+    return elements[1:]  # zero is from_int(0), listed first
+
+
 def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
-    """eta_x phi^x_T = Q_x lambda_x for every nonzero x, in F_{q^m} and F_{q^{2m}}."""
+    """eta_x phi^x_T = Q_x lambda_x for every nonzero x, in F_{q^m} and
+    F_{q^{2m}}, on discrete logs (`lemma_1_6_logs`)."""
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
         for deg in (params.m, 2 * params.m):
             ctx = params.field(deg)
-            nonzero = (x for x in ctx.all_elements() if x != ctx.zero)
-            cases = ((lambda: verify_lemma_1_6(params, ctx, x), lambda: _named(ctx, x=x)) for x in nonzero)
+            nonzero, log = _sweep(ctx), ctx._log
+            cases = ((lambda: lemma_1_6_logs(params, ctx, log[x]), lambda: _named(ctx, x=x)) for x in nonzero)
             entries.append(_entry("lemma1_6", params, deg, cases))
     return entries
 
 
 def _thm1_7_cases(params: TowerParams, ctx):
-    for x in ctx.all_elements():
-        if x == ctx.zero:
-            continue
-        lam, phi_x = lambda_poly(params, ctx, x), params.module_at(ctx, x)
+    nonzero, log = _sweep(ctx), ctx._log
+    for x in nonzero:
+        lam, phi_x = lambda_logs(params, ctx, log[x]), phi_logs(params, ctx, log[x])
         for y in fiber_solutions(params, ctx, x):
-            yield lambda: check_intertwine(lam, phi_x, params.module_at(ctx, y)), lambda: _named(ctx, x=x, y=y)
+            yield lambda: intertwine_logs(ctx, lam, phi_x, phi_logs(params, ctx, log[y])), lambda: _named(ctx, x=x, y=y)
     # composites over length-3 chains (capped; order is canonical)
     for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
         chain = XChain(params, ctx, pt.coords)
@@ -112,7 +133,8 @@ def _thm1_7_cases(params: TowerParams, ctx):
 
 
 def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
-    """lambda_x intertwines phi^x and phi^y on every fiber pair; composites too."""
+    """lambda_x intertwines phi^x and phi^y on every fiber pair, on discrete
+    logs (`intertwine_logs`); composites too."""
     entries = []
     for tup in grid:
         params = TowerParams(*tup)

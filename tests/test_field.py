@@ -3,6 +3,7 @@ import json
 import operator
 import random
 import sys
+import time
 
 import pytest
 
@@ -163,6 +164,47 @@ class TestIrreducibility:
     def test_base_modulus_pinned(self, p, e, modulus):
         assert FieldCtx(p, e, 1).base_modulus == FieldCtx(p, 1, e).ext_modulus == modulus
 
+    # moduli of builds up to the size cap and of every build the four
+    # perfbench workloads make (those pinned above are not repeated), as
+    # chosen when a root scan by Horner ran before Ben-Or's first gcd
+    @pytest.mark.parametrize(
+        "p,e,d,modulus",
+        [
+            (2, 1, 26, (1, 1, 0, 1, 1) + (0,) * 21 + (1,)),
+            (3, 1, 16, (1, 0, 1, 1) + (0,) * 12 + (1,)),
+            (5, 1, 11, (1, 2) + (0,) * 9 + (1,)),
+            (2, 4, 4, (4, 2, 1, 0, 1)),
+            (257, 1, 3, (1, 1, 0, 1)),
+            (8191, 1, 2, (1, 0, 1)),
+            (5, 2, 5, (5, 1, 0, 0, 0, 1)),
+            (2, 1, 3, (1, 1, 0, 1)),
+            (2, 1, 4, (1, 1, 0, 0, 1)),
+            (2, 1, 6, (1, 1, 0, 0, 0, 0, 1)),
+            (2, 2, 3, (2, 0, 0, 1)),
+            (3, 1, 2, (1, 0, 1)),
+            (3, 1, 3, (1, 2, 0, 1)),
+            (3, 1, 4, (2, 1, 0, 0, 1)),
+            (3, 1, 8, (2, 0, 1, 0, 0, 0, 0, 0, 1)),
+            (5, 1, 2, (2, 0, 1)),
+            (5, 1, 3, (1, 1, 0, 1)),
+            (5, 1, 4, (2, 0, 0, 0, 1)),
+        ],
+    )
+    def test_moduli_without_root_scan(self, p, e, d, modulus):
+        assert least_irreducible(d, _BaseOps(p, e)) == modulus
+
+    def test_large_base_quadratic_builds_fast(self, capsys, monkeypatch):
+        # over F_8192 every y^2 + c has a root; scanning for it point by point
+        # took ~29 s before y^2 + y + 1, and the command's exit 3 waited for it
+        from drinfeld_towers.cli import main
+
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        start = time.perf_counter()
+        assert main(["ss-count", "--p", "2", "--e", "13", "--m", "2", "--j", "1", "--n", "2"]) == 3
+        assert time.perf_counter() - start < 6
+        assert make_field(2, 13, 2).ext_modulus == (1, 1, 1)
+        assert capsys.readouterr().out == ""
+
     def test_search_makes_few_divisions(self, monkeypatch):
         # trial division makes 4,657 divisions here
         calls = []
@@ -267,8 +309,9 @@ class TestArithmetic:
         return counts
 
     def test_pow_of_two_power_only_squares(self, monkeypatch):
-        # F_{4^6} is above LOG_CAP
-        assert self._pow_two_power_muls(monkeypatch, make_field(2, 2, 6)) == list(range(7))
+        # F_{4^6} is above LOG_CAP; a fresh build, since a verify sweep tables
+        # the cached one
+        assert self._pow_two_power_muls(monkeypatch, FieldCtx(2, 2, 6)) == list(range(7))
 
     def test_logged_pow_needs_no_multiply(self, monkeypatch):
         assert self._pow_two_power_muls(monkeypatch, make_field(2, 2, 3)) == [0] * 7
@@ -688,8 +731,11 @@ class TestLogTables:
         assert {"add", "neg", "mul", "pow", "frobenius"}.isdisjoint(vars(ctx)) and "inv" in vars(ctx)
 
     def test_tables_leave_reports_unchanged(self, monkeypatch):
-        # oracle for the table path: with no field tabled, a verify report
-        # and G/H point listings are byte-identical to the default run
+        # oracle for the table path: with LOG_CAP patched to 0, only the
+        # fields that lemma1_6 and thm1_7 sweep build tables (they do so
+        # whatever the cap), so theta, roundtrip, rsu and the G/H point
+        # listings run on coordinates; the report and the listings are
+        # byte-identical to the default run
         def clear_caches():
             field._make_field_cached.cache_clear()
             field._embed_cache.clear()
@@ -712,6 +758,8 @@ class TestLogTables:
             clear_caches()
             monkeypatch.setattr(field, "LOG_CAP", 0)
             assert outputs() == default
+            swept, unswept = make_field(2, 1, 4), make_field(3, 1, 8)  # lemma1_6's and roundtrip's
+            assert swept._log is not None and unswept._log is None
         finally:
             clear_caches()
 

@@ -1,10 +1,11 @@
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers import linalg
+from drinfeld_towers import field, linalg
 from drinfeld_towers.errors import ContextMismatch, SizeCapExceeded
 from drinfeld_towers.field import make_field
 from drinfeld_towers.ore import (
@@ -16,6 +17,7 @@ from drinfeld_towers.ore import (
     linear_matrix,
     ore_add,
     ore_mul,
+    ore_mul_logs,
     ore_scale,
     point_derivation,
     solve_affine,
@@ -91,6 +93,31 @@ class TestRingBasics:
         assert ore_mul(ore_add(f, g), h) == ore_add(ore_mul(f, h), ore_mul(g, h))
 
 
+class TestProductOnLogs:
+    """`ore_mul_logs` against `ore_mul` on the coordinate path of an untabled
+    build of the same field."""
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 2), (3, 1, 6)])
+    def test_matches_coordinate_product(self, monkeypatch, p, e, d):
+        ctx = make_field(p, e, d)
+        monkeypatch.setattr(field, "LOG_CAP", 0)
+        oracle = field.FieldCtx(p, e, d)
+        n, rng = ctx.q**d - 1, random.Random(f"{p}-{e}-{d}")
+
+        def as_poly(logs):
+            return TwistedPoly(oracle, [oracle.zero if k is None else ctx._exp[k] for k in logs])
+
+        def draw():
+            # few distinct logs, so sums cancel often, in characteristic 2 too
+            return [rng.choice((None, 0, ctx._log_neg1, rng.randrange(n))) for _ in range(rng.randrange(6))]
+
+        for _ in range(300):
+            f, g = draw(), draw()
+            prod = ore_mul_logs(ctx, f, g)
+            assert as_poly(prod) == ore_mul(as_poly(f), as_poly(g))
+            assert not prod or prod[-1] is not None
+
+
 class TestEvaluation:
     def test_tau_is_frobenius(self):
         for x in F9.all_elements():
@@ -129,7 +156,7 @@ class TestLinearAlgebraBridge:
         assert linear_matrix(TwistedPoly.zero(F9)) == ((0, 0), (0, 0))
 
     def test_frobenius_matrix_invertible(self):
-        from drinfeld_towers import linalg
+        from drinfeld_towers import field, linalg
 
         ctx = make_field(2, 1, 3)
         mat = linear_matrix(TwistedPoly.tau(ctx))
@@ -139,7 +166,7 @@ class TestLinearAlgebraBridge:
     @settings(max_examples=30, deadline=None)
     @given(polys(F9), polys(F9))
     def test_matrix_is_multiplicative(self, f, g):
-        from drinfeld_towers import linalg
+        from drinfeld_towers import field, linalg
 
         mf, mg, mfg = linear_matrix(f), linear_matrix(g), linear_matrix(ore_mul(f, g))
         d = F9.d

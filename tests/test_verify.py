@@ -1,6 +1,7 @@
 """The seeded draws of the rsu_random check, the reports they give at nonzero
 seeds, and how an error raised inside a suite reaches the report or the CLI."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -8,10 +9,13 @@ import random
 
 import pytest
 
-from drinfeld_towers import verify
+from drinfeld_towers import field, isogeny, verify
 from drinfeld_towers.cli import main
+from drinfeld_towers.drinfeld import DrinfeldModule
 from drinfeld_towers.errors import NoMarkedPreimage, NotCyclic, NotOnCurve, SizeCapExceeded
-from drinfeld_towers.isogeny import TowerParams
+from drinfeld_towers.field import FieldCtx, make_field
+from drinfeld_towers.isogeny import TowerParams, check_intertwine, verify_lemma_1_6
+from drinfeld_towers.ore import TwistedPoly, ore_mul, ore_mul_logs
 from drinfeld_towers.towers import fiber_solutions
 from drinfeld_towers.verify import DEFAULT_GRID, _random_fiber_pairs
 
@@ -103,3 +107,159 @@ def test_bug_inside_suite_propagates(target, monkeypatch):
     suite, _ = RAISING_CHECKS[target]
     with pytest.raises(TypeError, match="a bug"):
         verify.run_suite(suite, ((2, 1, 2, 1),))
+
+
+# ---------------------------------------------------------------------------
+# lemma1_6 and thm1_7 on discrete logs, against the object path on the
+# coordinate arithmetic of an untabled field
+
+
+def _fields(tup):
+    """The swept field F_{q^d} of each degree d the two suites sweep at tup,
+    tabled, with its untabled oracle: a fresh build under LOG_CAP = 0."""
+    params = TowerParams(*tup)
+    for deg in (params.m, 2 * params.m):
+        ctx = params.field(deg)
+        verify._sweep(ctx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "LOG_CAP", 0)
+            oracle = FieldCtx(ctx.p, ctx.e, deg)
+        assert ctx._log is not None and oracle._log is None
+        yield params, ctx, oracle
+
+
+def _across(ctx, oracle, x):
+    """x of the tabled ctx as an element of its oracle, by to_int."""
+    return oracle.from_int(ctx.to_int(x))
+
+
+def _poly_of_logs(ctx, oracle, logs):
+    """The twisted polynomial over the oracle whose coefficient logs are `logs`."""
+    return TwistedPoly(oracle, [oracle.zero if k is None else _across(ctx, oracle, ctx._exp[k]) for k in logs])
+
+
+@functools.cache
+def _object_lemma_1_6(tup, deg) -> tuple:
+    """verify_lemma_1_6 at every nonzero x of the oracle F_{q^deg}, as
+    (to_int(x), holds) in canonical order; F_{4^6} takes ~2 s, so it is
+    computed once for the tests below."""
+    ((params, ctx, oracle),) = [f for f in _fields(tup) if f[1].d == deg]
+    return tuple((oracle.to_int(x), verify_lemma_1_6(params, oracle, x)) for x in oracle.all_elements()[1:])
+
+
+@pytest.mark.parametrize("tup", DEFAULT_GRID, ids=str)
+def test_exponent_forms_are_the_objects(tup):
+    # each factor's logs, and both products, equal the coordinate path's
+    for params, ctx, oracle in _fields(tup):
+        for x in ctx.all_elements()[1:]:
+            s, xo = ctx._log[x], _across(ctx, oracle, x)
+            eta_x, phi_x = isogeny.eta(params, oracle, xo), params.module_at(oracle, xo).phi_T()
+            q_x, lam_x = isogeny.q_poly(params, oracle, xo), isogeny.lambda_poly(params, oracle, xo)
+            twists = isogeny._twist_logs(ctx, s, params.m)
+            pairs = [
+                (twists[: params.k], eta_x),
+                (isogeny.phi_logs(params, ctx, s), phi_x),
+                (twists[params.k :] + twists[: params.k], q_x),
+                (isogeny.lambda_logs(params, ctx, s), lam_x),
+            ]
+            pairs.append((ore_mul_logs(ctx, pairs[0][0], pairs[1][0]), ore_mul(eta_x, phi_x)))
+            pairs.append((ore_mul_logs(ctx, pairs[2][0], pairs[3][0]), ore_mul(q_x, lam_x)))
+            for logs, poly in pairs:
+                assert _poly_of_logs(ctx, oracle, logs) == poly, (tup, ctx.d, x)
+
+
+@pytest.mark.parametrize("tup", DEFAULT_GRID, ids=str)
+def test_log_cases_agree_with_object_cases(tup):
+    for params, ctx, oracle in _fields(tup):
+        log_path = tuple(
+            (ctx.to_int(x), isogeny.lemma_1_6_logs(params, ctx, ctx._log[x])) for x in ctx.all_elements()[1:]
+        )
+        assert log_path == _object_lemma_1_6(tup, ctx.d)
+        if ctx.d != params.m:
+            continue
+        for x in ctx.all_elements()[1:]:
+            s, xo = ctx._log[x], _across(ctx, oracle, x)
+            lam, phi_x = isogeny.lambda_logs(params, ctx, s), isogeny.phi_logs(params, ctx, s)
+            lam_o, phi_o = isogeny.lambda_poly(params, oracle, xo), params.module_at(oracle, xo)
+            for y in fiber_solutions(params, ctx, x):
+                psi = isogeny.phi_logs(params, ctx, ctx._log[y])
+                psi_o = params.module_at(oracle, _across(ctx, oracle, y))
+                assert isogeny.intertwine_logs(ctx, lam, phi_x, psi) == check_intertwine(lam_o, phi_o, psi_o)
+
+
+def test_sweep_tables_f_4_6():
+    # F_{4^6} has 4,096 elements, above LOG_CAP, and lemma1_6 tables it
+    tup = (2, 2, 3, 2)
+    report = verify.run_suite("lemma1_6", (tup,))
+    assert make_field(2, 2, 6)._log is not None
+    params, ctx = TowerParams(*tup), make_field(2, 2, 6)
+    holds = dict(_object_lemma_1_6(tup, 6))
+    cases = ((lambda x=x: holds[ctx.to_int(x)], lambda x=x: verify._named(ctx, x=x)) for x in ctx.all_elements()[1:])
+    assert report[1] == verify._entry("lemma1_6", params, 6, cases)
+    assert report[1]["cases_run"] == 4095 and report[1]["failures"] == []
+
+
+LAMBDA_POLY, LAMBDA_LOGS, PHI_LOGS = isogeny.lambda_poly, isogeny.lambda_logs, isogeny.phi_logs
+
+
+def _lambda_poly_shifted(params, ctx, x):
+    """lambda_x with its constant x^{q^k - 1} replaced by x^{q^k}."""
+    lam = LAMBDA_POLY(params, ctx, x)
+    return TwistedPoly(ctx, (ctx.pow(x, ctx.q**params.k),) + lam.coeffs[1:])
+
+
+def _lambda_logs_shifted(params, ctx, s):
+    return [s * ctx._qpow[params.k % ctx.d] % ctx._n] + LAMBDA_LOGS(params, ctx, s)[1:]
+
+
+def _module_without_tail(ctx, m, j, x):
+    """phi^x with g(x) = x^{q^m - q^j}: the term -x^{1 - q^j} dropped."""
+    return DrinfeldModule(ctx, m, j, ctx.mul(ctx.frobenius(x, m), ctx.frobenius(ctx.inv(x), j)))
+
+
+def _phi_logs_without_tail(params, ctx, s):
+    phi = PHI_LOGS(params, ctx, s)
+    phi[params.j] = s * (ctx._qpow[params.m % ctx.d] - ctx._qpow[params.j]) % ctx._n
+    return phi
+
+
+# each mutation as (object-path function, log-path function); over F_{q^m}
+# a fiber pair has g(x) = g(y) = 0, where any lambda over F_{q^m} commutes
+# with phi_T, so only the second one breaks thm1_7
+MUTATIONS = {
+    "lambda_x^{q^k}": {"lambda_poly": _lambda_poly_shifted, "lambda_logs": _lambda_logs_shifted},
+    "g_without_tail": {"module_from_point": _module_without_tail, "phi_logs": _phi_logs_without_tail},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("tup", [(2, 1, 3, 2), (3, 1, 2, 1), (2, 2, 3, 2)], ids=str)
+def test_mutation_fails_same_cases(tup, mutation, monkeypatch):
+    # the suites (log path) and the oracles (object path) fail the same cases
+    # under the same labels
+    for name, mutated in MUTATIONS[mutation].items():
+        for module in (isogeny, verify):  # verify imports the log forms it calls
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, mutated)
+    params = TowerParams(*tup)
+    lemma, thm = verify.run_suite("lemma1_6", (tup,))[0], verify.run_suite("thm1_7", (tup,))[0]
+    ctx = params.field(params.m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "LOG_CAP", 0)
+        oracle = FieldCtx(ctx.p, ctx.e, ctx.d)
+    lemma_want, thm_want = [], []
+    for x in ctx.all_elements()[1:]:
+        xo = _across(ctx, oracle, x)
+        if not verify_lemma_1_6(params, oracle, xo):
+            lemma_want.append(verify._named(ctx, x=x))
+        lam, phi = isogeny.lambda_poly(params, oracle, xo), params.module_at(oracle, xo)
+        for y in fiber_solutions(params, ctx, x):
+            if not check_intertwine(lam, phi, params.module_at(oracle, _across(ctx, oracle, y))):
+                thm_want.append(verify._named(ctx, x=x, y=y))
+    assert lemma["failures"] == lemma_want
+    assert [f for f in thm["failures"] if not f.startswith("chain")] == thm_want
+    if mutation == "lambda_x^{q^k}":
+        # x^{q^k} = x^{q^k - 1} only at x = 1
+        assert len(lemma_want) == ctx.q**ctx.d - 2
+    else:
+        assert lemma_want and thm_want
