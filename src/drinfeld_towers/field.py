@@ -629,21 +629,17 @@ class FieldCtx:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
         return self.frobenius(x, m) == x
 
-    def check_enumerable(self, m: int) -> None:
-        """Raise SizeCapExceeded if F_{q^m} has more than ENUMERATION_CAP
-        elements; counts over a field are held to the cap on listing it."""
-        if self.q**m > ENUMERATION_CAP:
-            raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
-
     def subfield_elements(self, m: int) -> list:
         """All q^m elements of F_{q^m} inside this field, in canonical order.
 
-        This is the one place that lists a whole field, so it refuses one of
-        more than ENUMERATION_CAP elements.
+        This is the one place that lists a whole field, so it alone reads
+        ENUMERATION_CAP and refuses a field of more elements.  Counts that
+        list nothing (F and G level sizes) answer to the size cap alone.
         """
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
-        self.check_enumerable(m)
+        if self.q**m > ENUMERATION_CAP:
+            raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
         cached = self._subfield_cache.get(m)
         if cached is not None:
             return list(cached)

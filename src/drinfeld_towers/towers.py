@@ -236,22 +236,23 @@ def _level_sizes(params: TowerParams, ctx: FieldCtx, variant: str):
     c = x^{q^m-1} = 1 for all q^m - 1 of them.  For G, c = X^{N_m} is the
     norm to F_q^*, which takes each value N_m = (q^m-1)/(q-1) times, and a
     successor Y = X^{q^k} t^{q-1} has norm c^{q^k} N(t)^{q-1} = c.  So F and
-    G count with at most q - 1 ranks and list nothing; the field is still
-    held to ENUMERATION_CAP.  H walks its successor graph (`_chain_counts`).
+    G count with at most q - 1 ranks, list nothing and answer to the size cap
+    alone; level 1, q^m - 1 for both, comes before any rank is taken.  H
+    walks its successor graph (`_chain_counts`).
     """
     if variant == "H":
         yield from _chain_counts(params, ctx, variant)
         return
-    ctx.check_enumerable(ctx.d)
     q, m = ctx.q, params.m
+    yield q**m - 1
     if variant == "F":
         cs, chains = [ctx.one], [q**m - 1]
     else:
         cs, chains = [ctx.from_int(c) for c in range(1, q)], [(q**m - 1) // (q - 1)] * (q - 1)
     sizes = [count_affine(_hyperplane_poly(ctx, params.j, params.k, c), ctx.one) for c in cs]
     while True:
-        yield sum(chains)
         chains = [w * size for w, size in zip(chains, sizes)]
+        yield sum(chains)
 
 
 def _chain_counts(params: TowerParams, ctx: FieldCtx, variant: str):
@@ -276,7 +277,8 @@ def count_supersingular(params: TowerParams, n: int) -> tuple:
     """(F-variant rational count (q^m-1) |T_1|^{n-1}, (q^m-1) q^{(m-1)(n-1)}).
 
     The count comes from the successor relation's hyperplane, not from the
-    formula; it costs one rank at any n, over a field within ENUMERATION_CAP.
+    formula; it costs one rank at any n > 1 and lists nothing, so only the
+    size cap bounds the field.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -106,11 +106,42 @@ class TestPoints:
         )
         assert code == 2 and out == ""
 
-    def test_resource_cap(self, capsys):
+    def test_resource_cap(self, capsys, monkeypatch):
+        # 7^10 is past the size cap 2^26
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
         code, _ = run(
-            capsys, "ss-count", "--p", "7", "--m", "7", "--j", "1", "--n", "2"
+            capsys, "ss-count", "--p", "7", "--m", "10", "--j", "1", "--n", "2"
         )
         assert code == 3
+
+    def test_count_past_listing_cap(self, capsys, monkeypatch):
+        # 7^7 is past ENUMERATION_CAP, but a count lists nothing
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        code, out = run(
+            capsys, "ss-count", "--p", "7", "--m", "7", "--j", "1", "--n", "2"
+        )
+        rec = json.loads(out)
+        assert code == 0 and rec["enumerated"] == rec["formula"] == 96_888_892_758 and rec["match"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["points", "--n", "1", "--variant", "F"],
+            ["points", "--n", "1", "--variant", "G"],
+            ["points", "--n", "2", "--variant", "H"],
+            ["verify", "--suite", "lemma1_6"],
+            ["verify", "--suite", "thm1_7"],
+            ["verify", "--suite", "all"],
+        ],
+        ids=["points-F", "points-G", "points-H", "lemma1_6", "thm1_7", "all"],
+    )
+    def test_listing_cap(self, capsys, monkeypatch, argv):
+        # 2^17 - 1 points per level pass POINTS_CAP; listing F_{2^17} is refused
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        code = main([*argv, "--p", "2", "--m", "17", "--j", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "exceeds enumeration cap" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

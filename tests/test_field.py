@@ -195,15 +195,16 @@ class TestIrreducibility:
 
     def test_large_base_quadratic_builds_fast(self, capsys, monkeypatch):
         # over F_8192 every y^2 + c has a root; scanning for it point by point
-        # took ~29 s before y^2 + y + 1, and the command's exit 3 waited for it
+        # took ~29 s before y^2 + y + 1, and the command's count waited for it
         from drinfeld_towers.cli import main
 
         monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
         start = time.perf_counter()
-        assert main(["ss-count", "--p", "2", "--e", "13", "--m", "2", "--j", "1", "--n", "2"]) == 3
+        assert main(["ss-count", "--p", "2", "--e", "13", "--m", "2", "--j", "1", "--n", "2"]) == 0
         assert time.perf_counter() - start < 6
         assert make_field(2, 13, 2).ext_modulus == (1, 1, 1)
-        assert capsys.readouterr().out == ""
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["match"] and rec["enumerated"] == (8192**2 - 1) * 8192
 
     def test_search_makes_few_divisions(self, monkeypatch):
         # trial division makes 4,657 divisions here

@@ -47,3 +47,24 @@ def test_no_module_level_argparse(path):
         else:
             continue
         assert "argparse" not in names, f"module-level argparse import at {path.name}:{node.lineno}"
+
+
+def _scoped(node, scope=()):
+    """(node, names of the enclosing classes and functions) for every node."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _scoped(child, inner)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_listing_cap_only_where_listed(path):
+    # ENUMERATION_CAP bounds listing, so only the one function that lists a
+    # field reads it; a count that lists nothing answers to the size cap alone
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node, scope in _scoped(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        assert name != "check_enumerable", f"check_enumerable at {where}"
+        if name == "ENUMERATION_CAP" and not isinstance(getattr(node, "ctx", None), ast.Store):
+            assert scope == ("FieldCtx", "subfield_elements"), f"ENUMERATION_CAP read at {where}"

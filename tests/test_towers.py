@@ -326,7 +326,7 @@ class TestEnumeration:
             assert [next(sizes) for _ in range(5)] == [next(walk) for _ in range(5)]
 
     def test_counts_list_no_field(self, monkeypatch):
-        # F and G sizes come from ranks; the field is still held to ENUMERATION_CAP
+        # F and G sizes come from ranks, so the listing cap does not bound them
         def fail(*args):
             raise AssertionError("field listed")
 
@@ -337,8 +337,35 @@ class TestEnumeration:
         assert next(itertools.islice(towers._level_sizes(P2152, ctx, "G"), 3, None)) == 31 * 16**3
         monkeypatch.setattr(field, "ENUMERATION_CAP", 31)
         for variant in ("F", "G"):
-            with pytest.raises(SizeCapExceeded, match="enumeration cap"):
-                next(towers._level_sizes(P2152, ctx, variant))
+            sizes = towers._level_sizes(P2152, ctx, variant)
+            assert [next(sizes) for _ in range(3)] == [31, 31 * 16, 31 * 16**2]
+
+    @pytest.mark.parametrize(
+        "tup",
+        [(2, 4, 5, 1), (2, 1, 26, 3), (8191, 1, 2, 1), (3, 4, 4, 3), (2, 1, 17, 1), (3, 1, 11, 2),
+         (5, 1, 7, 3), (2, 2, 9, 2), (2, 6, 4, 1), (7, 1, 9, 4), (13, 1, 6, 1), (2, 13, 2, 1)],
+        ids=lambda t: "".join(map(str, t)),
+    )
+    def test_counts_above_listing_cap(self, monkeypatch, tup):
+        # 2^16 < q^m <= 2^26: past ENUMERATION_CAP, within the size cap
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        params = TowerParams(*tup)
+        q, m = params.q, params.m
+        assert field.ENUMERATION_CAP < q**m <= field.DEFAULT_SIZE_CAP
+        assert count_supersingular(params, 4) == ((q**m - 1) * q ** (3 * (m - 1)),) * 2
+
+    @pytest.mark.parametrize("variant", ["F", "G"])
+    def test_level_one_refused_before_any_rank(self, monkeypatch, variant):
+        # level 1 holds q^m - 1 = 2^26 - 1 points, past POINTS_CAP; the cap
+        # check stops there, before the q - 1 = 8191 ranks of G
+        def fail(*args):
+            raise AssertionError("rank taken")
+
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        monkeypatch.setattr(towers, "count_affine", fail)
+        for n in (1, 3):
+            with pytest.raises(SizeCapExceeded, match="points on one level"):
+                towers.iter_rational(TowerParams(2, 13, 2, 1), n, variant)
 
     def test_walk_reaches_deep_levels(self):
         assert count_supersingular(P531, 12) == (295_639_038_085_937_500,) * 2

@@ -263,3 +263,31 @@ def test_mutation_fails_same_cases(tup, mutation, monkeypatch):
         assert len(lemma_want) == ctx.q**ctx.d - 2
     else:
         assert lemma_want and thm_want
+
+
+@pytest.mark.parametrize(
+    "tup,failed,pairs", [((2, 1, 3, 2), 42, 63), ((3, 1, 3, 2), 544, 624), ((2, 1, 2, 1), 0, 6)], ids=str
+)
+def test_fiber_pairs_off_rational_catch_wrong_lambda(tup, failed, pairs):
+    # over F_{q^{2m}} g(x) != 0 on a fiber pair, so a wrong lambda_x can fail
+    # there, on both paths; at m = 2 these pairs still catch nothing.  The
+    # first three fiber solutions of each x are checked.
+    params = TowerParams(*tup)
+    amb = params.field(2 * params.m)
+    nonzero, log = verify._sweep(amb), amb._log
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "LOG_CAP", 0)
+        oracle = FieldCtx(amb.p, amb.e, amb.d)
+    held = {"object": [], "logs": []}
+    for x in nonzero:
+        xo = _across(amb, oracle, x)
+        phi, phi_x = params.module_at(oracle, xo), isogeny.phi_logs(params, amb, log[x])
+        lams = (isogeny.lambda_poly(params, oracle, xo), _lambda_poly_shifted(params, oracle, xo))
+        lam_logs = (isogeny.lambda_logs(params, amb, log[x]), _lambda_logs_shifted(params, amb, log[x]))
+        for y in fiber_solutions(params, amb, x)[:3]:
+            psi, phi_y = params.module_at(oracle, _across(amb, oracle, y)), isogeny.phi_logs(params, amb, log[y])
+            held["object"].append(tuple(check_intertwine(lam, phi, psi) for lam in lams))
+            held["logs"].append(tuple(isogeny.intertwine_logs(amb, lam, phi_x, phi_y) for lam in lam_logs))
+    assert held["object"] == held["logs"]
+    true, shifted = zip(*held["logs"])
+    assert all(true) and len(shifted) == pairs and shifted.count(False) == failed
