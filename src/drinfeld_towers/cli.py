@@ -1,8 +1,9 @@
 """Command-line front end: point enumeration, fibers, counts, verification.
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
-3 resource limit hit (a size cap, or memory).  Reports embed the run
-configuration that produced them.
+3 resource limit hit (a size cap, or memory).  Each command's handler runs
+on the parsed namespace, with the size cap in force added to it, and a
+report embeds that namespace as its configuration (`_config`).
 
 Each subcommand's options are declared once, in `COMMANDS`.  A well-formed
 `<command> --name value ...` is parsed straight from that table; any other
@@ -25,7 +26,6 @@ from .errors import AlgebraError, NotPrime, SizeCapExceeded
 from .field import is_prime, size_cap
 from .isogeny import TowerParams
 from .towers import count_supersingular, fiber_solutions, ihara_bound, iter_rational
-from .value import Value
 from .verify import DEFAULT_GRID, SUITES, run_suite, total_failures
 
 EXIT_OK = 0
@@ -34,23 +34,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 _JSON = json.JSONEncoder(sort_keys=True)  # json.dumps with sort_keys builds one per call
-
-
-class RunConfig(Value):
-    """Everything that determines a run's output."""
-
-    __slots__ = ("command", "p", "e", "m", "j", "n", "variant", "suite", "x", "format", "size_cap", "seed")
-
-    def __init__(
-        self, command: str, p: int | None = None, e: int | None = None, m: int | None = None,
-        j: int | None = None, n: int | None = None, variant: str | None = None,
-        suite: str | None = None, x: str | None = None, format: str = "json", seed: int = 0,
-    ):
-        # the size cap is the one in force, not a parameter: a report echoes only what was applied
-        self._assign(command, p, e, m, j, n, variant, suite, x, format, size_cap(), seed)
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in zip(self.__slots__, self._fields()) if v is not None}
 
 
 def _positive_int(text: str) -> int:
@@ -62,46 +45,48 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _params(cfg: RunConfig) -> TowerParams:
-    return TowerParams(cfg.p, cfg.e, cfg.m, cfg.j)
+def _params(ns) -> TowerParams:
+    return TowerParams(ns.p, ns.e, ns.m, ns.j)
 
 
-def cmd_points(cfg: RunConfig, out) -> int:
-    params = _params(cfg)
-    pts = iter_rational(params, cfg.n, cfg.variant)  # the cap check runs here, before any output
-    if cfg.format == "csv":
-        length = cfg.n if cfg.variant != "H" else cfg.n - 1
+def _config(ns) -> dict:
+    """The run configuration a report echoes: the parsed options that are
+    set and the size cap in force, with format "json" and seed 0 where the
+    command declares neither."""
+    return {"format": "json", "seed": 0, **{k: v for k, v in vars(ns).items() if v is not None}}
+
+
+def cmd_points(ns, out) -> int:
+    params = _params(ns)
+    pts = iter_rational(params, ns.n, ns.variant)  # the cap check runs here, before any output
+    ctx = params.field(params.m)
+    if ns.format == "csv":
+        length = ns.n if ns.variant != "H" else ns.n - 1
         cols = ",".join(f"coord_{i + 1}" for i in range(length))
         print(f"variant,p,e,m,j,{cols},supersingular", file=out)
-        for pt in pts:
-            coords = ",".join(pt.ctx.format_elem(c) for c in pt.coords)
-            print(
-                f"{pt.variant},{params.p},{params.e},{params.m},{params.j},"
-                f"{coords},{pt.is_supersingular()}",
-                file=out,
-            )
-    else:
-        # the bytes of _JSON.encode(pt.to_json_dict()), with each element's
-        # string and each record less its coordinates encoded once per run
-        ctx = params.field(params.m)
-        quoted = functools.cache(lambda x: _JSON.encode(ctx.format_elem(x)))
-        frames = {}  # supersingular -> the record's text before and after its coordinates
-        for pt in pts:
-            ss = pt.is_supersingular()
-            if ss not in frames:
-                frames[ss] = _JSON.encode(dict(pt.to_json_dict(), coords=[])).split("[]", 1)
-            head, tail = frames[ss]
-            print(head + "[" + ", ".join([quoted(x) for x in pt.coords]) + "]" + tail, file=out)
+        text, sep = functools.cache(ctx.format_elem), ","
+        frame = lambda pt: (f"{pt.variant},{params.p},{params.e},{params.m},{params.j},", f",{pt.is_supersingular()}")
+    else:  # the bytes of _JSON.encode(pt.to_json_dict()), split around the coordinates at a "" one
+        text, sep = functools.cache(lambda x: _JSON.encode(ctx.format_elem(x))), ", "
+        frame = lambda pt: _JSON.encode(dict(pt.to_json_dict(), coords=[""])).split('""', 1)
+    # each element's text and the record around the coordinates are made once
+    # per run: every record has the same variant and tower, and is
+    # supersingular, its coordinates lying in F_{q^m}
+    head = tail = None
+    for pt in pts:
+        if head is None:
+            head, tail = frame(pt)
+        print(head + sep.join([text(x) for x in pt.coords]) + tail, file=out)
     return EXIT_OK
 
 
-def cmd_fibers(cfg: RunConfig, out) -> int:
-    params = _params(cfg)
+def cmd_fibers(ns, out) -> int:
+    params = _params(ns)
     ctx = params.field(params.m)
-    x = ctx.parse_elem(cfg.x)
+    x = ctx.parse_elem(ns.x)
     ys = fiber_solutions(params, ctx, x)
     record = {
-        "config": cfg.to_dict(),
+        "config": _config(ns),
         "x": ctx.format_elem(x),
         "solutions": [ctx.format_elem(y) for y in ys],
     }
@@ -120,16 +105,16 @@ def _digit_limit(what: str, log10: float) -> SizeCapExceeded:
     return error
 
 
-def cmd_ss_count(cfg: RunConfig, out) -> int:
-    params = _params(cfg)
+def cmd_ss_count(ns, out) -> int:
+    params = _params(ns)
     # the record holds the formula (q^m-1) q^{(m-1)(n-1)}; stop before walking
     # deeper than it can be printed (the factor q^m-1 >= 3 outweighs any
     # rounding in the estimate)
-    digits = (params.m - 1) * (cfg.n - 1) * math.log10(params.q)
-    too_long = _digit_limit(f"the level-{cfg.n} count", digits)
-    count, formula = count_supersingular(params, cfg.n)
+    digits = (params.m - 1) * (ns.n - 1) * math.log10(params.q)
+    too_long = _digit_limit(f"the level-{ns.n} count", digits)
+    count, formula = count_supersingular(params, ns.n)
     record = {
-        "config": cfg.to_dict(),
+        "config": _config(ns),
         "enumerated": count,
         "formula": formula,
         "match": count == formula,
@@ -142,24 +127,24 @@ def cmd_ss_count(cfg: RunConfig, out) -> int:
     return EXIT_OK if count == formula else EXIT_FAILURE
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    if cfg.p is not None:
-        grid = ((cfg.p, cfg.e, cfg.m, cfg.j),)
+def cmd_verify(ns, out) -> int:
+    if ns.p is not None:
+        grid = ((ns.p, ns.e, ns.m, ns.j),)
     else:
         grid = DEFAULT_GRID
-    report = run_suite(cfg.suite, grid, seed=cfg.seed)
-    doc = {"config": cfg.to_dict(), "report": report}
+    report = run_suite(ns.suite, grid, seed=ns.seed)
+    doc = {"config": _config(ns), "report": report}
     print(_JSON.encode(doc), file=out)
     return EXIT_OK if total_failures(report) == 0 else EXIT_FAILURE
 
 
-def cmd_bound(cfg: RunConfig, out) -> int:
+def cmd_bound(ns, out) -> int:
     # the reduced numerator is at least the bound, about 2 p^m, so a large m is
     # refused before the arithmetic; an invalid p or m is left to ihara_bound,
     # so it stays a usage error however large m is
-    valid = cfg.m >= 1 and is_prime(cfg.p)
-    too_long = _digit_limit("the bound's numerator", cfg.m * math.log10(cfg.p) if valid else 0)
-    v = ihara_bound(cfg.p, cfg.m)
+    valid = ns.m >= 1 and is_prime(ns.p)
+    too_long = _digit_limit("the bound's numerator", ns.m * math.log10(ns.p) if valid else 0)
+    v = ihara_bound(ns.p, ns.m)
     try:
         text = f"{v.numerator}/{v.denominator}"
     except ValueError:  # an int past the same limit
@@ -271,8 +256,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         ns.e = 1 if ns.e is None else ns.e
     try:
-        cfg = RunConfig(**vars(ns))  # every subcommand's options are RunConfig fields
-        return _HANDLERS[ns.command](cfg, sys.stdout)
+        ns.size_cap = size_cap()  # the cap in force; a malformed one refuses any command
+        return _HANDLERS[ns.command](ns, sys.stdout)
     except SizeCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -108,16 +108,21 @@ def monic_apolys(ctx: FieldCtx, degree: int):
         yield APoly(ctx, _poly_from_index(idx, degree, ctx.q))
 
 
+def check_rank_pair(m: int, j: int) -> None:
+    """Raise BadRankPair unless 2 <= m, 1 <= j < m and gcd(j, m - j) = 1."""
+    if m < 2 or not (1 <= j < m):
+        raise BadRankPair(f"need 2 <= m and 1 <= j < m, got (m, j) = ({m}, {j})")
+    if math.gcd(j, m - j) != 1:
+        raise BadRankPair(f"gcd(j, m - j) must be 1, got (j, k) = ({j}, {m - j})")
+
+
 class DrinfeldModule(Value):
     """The data (m, j, g_j) of phi_T = -tau^m + g_j tau^j + 1."""
 
     __slots__ = ("ctx", "m", "j", "g_j")
 
     def __init__(self, ctx: FieldCtx, m: int, j: int, g_j: FieldElem):
-        if m < 2 or not (1 <= j < m):
-            raise BadRankPair(f"need 2 <= m and 1 <= j < m, got (m, j) = ({m}, {j})")
-        if math.gcd(j, m - j) != 1:
-            raise BadRankPair(f"gcd(j, m - j) must be 1, got (j, k) = ({j}, {m - j})")
+        check_rank_pair(m, j)
         self._assign(ctx, m, j, g_j)
 
     @property

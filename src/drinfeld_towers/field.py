@@ -383,7 +383,6 @@ class FieldCtx:
         self.zero: FieldElem = (0,) * d
         self.basis = tuple(self._pad((0,) * t + (1,)) for t in range(d))  # 1, y, ..., y^{d-1}
         self.one: FieldElem = self.basis[0]
-        self.format_elem = functools.cache(self.format_elem)  # one digit string per element
         # y^{d+i} reduced mod ext_modulus, for multiplication reduction
         self._high_pows = [
             _sparse(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))

@@ -10,11 +10,8 @@ identities also come in exponent form, on the discrete log s of x.
 
 from __future__ import annotations
 
-import math
-
-from .drinfeld import APoly, DrinfeldModule, cyclic_module, module_from_point, monic_apolys, phi_a
+from .drinfeld import APoly, DrinfeldModule, check_rank_pair, cyclic_module, module_from_point, monic_apolys, phi_a
 from .errors import (
-    BadRankPair,
     BracketMismatch,
     CharacteristicDividesK,
     NoMarkedPreimage,
@@ -37,9 +34,8 @@ class TowerParams(Value):
             raise NotPrime(f"{p} is not prime")
         if e < 1:
             raise ValueError(f"e must be at least 1, got {e}")
+        check_rank_pair(m, j)
         k = m - j
-        if m < 2 or not (1 <= j < m) or math.gcd(j, k) != 1:
-            raise BadRankPair(f"bad (m, j) = ({m}, {j})")
         # smallest nonnegative (a, b) with a*k - b*j = 1: a = k^{-1} mod j, taken in 1..j
         a = pow(k, -1, j) or j
         # hashed once: every cached successor lookup hashes its params

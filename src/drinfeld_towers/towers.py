@@ -11,11 +11,12 @@ over F_{q^m} itself c lies in F_q^*, so rational successors cost no solve
 per point.  All come out in canonical element order, so output is
 deterministic.  The successor relation is cached once per tower variant and
 field (`_level_candidates`); enumeration extends chains by it and
-`TowerPoint` checks every pair against it.  Level sizes of F and G come
-from the sizes |T_c| alone, one rank per c, so counting them lists no point
-and no field; H's are walks on its successor graph (`_chain_counts`), which
-stay the tests' oracle for the F and G sizes.  Every q-power x^{q^i} is
-taken through the Frobenius linear map.
+`TowerPoint` checks every pair against it.  Level 1 holds q^m - 1 points
+in every variant, counted before any field is built.  Later level sizes of
+F and G come from the sizes |T_c| alone, one rank per c, so counting them
+lists no point and no field; H's are walks on its successor graph
+(`_chain_counts`), which stay the tests' oracle for the F and G sizes.
+Every q-power x^{q^i} is taken through the Frobenius linear map.
 """
 
 from __future__ import annotations
@@ -208,18 +209,19 @@ def enumerate_rational(params: TowerParams, n: int, variant: str) -> list:
 
 def iter_rational(params: TowerParams, n: int, variant: str):
     """The points of `enumerate_rational`, in order, built lazily; every check
-    and the cap check on `_level_sizes` run before it returns."""
+    and the cap check on `_level_sizes` run before it returns, and F_{q^m} is
+    built only once the cap check has passed."""
     if variant not in ("F", "G", "H"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     if variant == "H" and n < 2:
         raise ValueError("H-variant needs n >= 2")
-    ctx = params.field(params.m)
     length = n if variant != "H" else n - 1
-    for size in itertools.islice(_level_sizes(params, ctx, variant), length):
+    for size in itertools.islice(_level_sizes(params, variant), length):
         if size > POINTS_CAP:
             raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
+    ctx = params.field(params.m)
     successors = _level_candidates(params, ctx, variant)
     frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
@@ -227,24 +229,26 @@ def iter_rational(params: TowerParams, n: int, variant: str):
     return (TowerPoint(variant, params, ctx, coords) for coords in frontier)
 
 
-def _level_sizes(params: TowerParams, ctx: FieldCtx, variant: str):
-    """Yield the number of chains of 1, 2, ... nonzero coordinates in ctx = F_{q^m}.
+def _level_sizes(params: TowerParams, variant: str):
+    """Yield the number of chains of 1, 2, ... nonzero coordinates in F_{q^m}.
 
-    For F and G a chain keeps the c of its first coordinate, and each
-    coordinate has |T_c| successors, so level l holds sum_c N_c |T_c|^{l-1}
-    chains, N_c being the number of first coordinates with that c.  For F,
+    Level 1 holds q^m - 1 chains for every variant and comes first, before
+    F_{q^m} is built (cached, by `params.field`) for the later levels.  For
+    F and G a chain keeps the c of its first coordinate, and each coordinate
+    has |T_c| successors, so level l holds sum_c N_c |T_c|^{l-1} chains, N_c
+    being the number of first coordinates with that c.  For F,
     c = x^{q^m-1} = 1 for all q^m - 1 of them.  For G, c = X^{N_m} is the
     norm to F_q^*, which takes each value N_m = (q^m-1)/(q-1) times, and a
     successor Y = X^{q^k} t^{q-1} has norm c^{q^k} N(t)^{q-1} = c.  So F and
     G count with at most q - 1 ranks, list nothing and answer to the size cap
-    alone; level 1, q^m - 1 for both, comes before any rank is taken.  H
-    walks its successor graph (`_chain_counts`).
+    alone.  H walks its successor graph (`_chain_counts`) from level 2.
     """
-    if variant == "H":
-        yield from _chain_counts(params, ctx, variant)
-        return
-    q, m = ctx.q, params.m
+    q, m = params.q, params.m
     yield q**m - 1
+    ctx = params.field(m)
+    if variant == "H":
+        yield from itertools.islice(_chain_counts(params, ctx, variant), 1, None)
+        return
     if variant == "F":
         cs, chains = [ctx.one], [q**m - 1]
     else:
@@ -278,12 +282,13 @@ def count_supersingular(params: TowerParams, n: int) -> tuple:
 
     The count comes from the successor relation's hyperplane, not from the
     formula; it costs one rank at any n > 1 and lists nothing, so only the
-    size cap bounds the field.
+    size cap bounds the field.  F_{q^m} is built first, at n = 1 too, where
+    the count needs no field, so every count answers to that cap.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    sizes = _level_sizes(params, params.field(params.m), "F")
-    count = next(itertools.islice(sizes, n - 1, None))
+    params.field(params.m)
+    count = next(itertools.islice(_level_sizes(params, "F"), n - 1, None))
     formula = (params.q**params.m - 1) * params.q ** ((params.m - 1) * (n - 1))
     return count, formula
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers.cli import _JSON, COMMANDS, RunConfig, build_parser, fast_parse, main
-from drinfeld_towers.field import is_prime
+from drinfeld_towers.cli import _JSON, COMMANDS, _config, build_parser, fast_parse, main
+from drinfeld_towers import field
+from drinfeld_towers.field import DEFAULT_SIZE_CAP, FieldCtx, is_prime
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint, enumerate_rational, ihara_bound
 from drinfeld_towers.verify import SUITES
@@ -122,6 +123,29 @@ class TestPoints:
         )
         rec = json.loads(out)
         assert code == 0 and rec["enumerated"] == rec["formula"] == 96_888_892_758 and rec["match"]
+
+    @pytest.mark.parametrize("variant, n", [("F", "1"), ("G", "1"), ("H", "2")])
+    def test_level_one_refused_before_any_field(self, capsys, monkeypatch, variant, n):
+        # level 1 holds 8192^2 - 1 points, past POINTS_CAP, for every variant:
+        # the command is refused before F_{8192^2} (or any field) is built
+        def fail(*args):
+            raise AssertionError("field built")
+
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        field._make_field_cached.cache_clear()  # so that any build reaches FieldCtx.__init__
+        monkeypatch.setattr(FieldCtx, "__init__", fail)
+        code = main(["points", "--p", "2", "--e", "13", "--m", "2", "--j", "1", "--n", n, "--variant", variant])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "resource limit: 67108863 points on one level exceed the cap 262144\n"
+
+    def test_count_at_level_one_answers_to_size_cap(self, capsys, monkeypatch):
+        # level 1 needs no field, but ss-count builds F_{7^10} first, past the size cap 2^26
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        code = main(["ss-count", "--p", "7", "--m", "10", "--j", "1", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "resource limit: p^(e*d) = 7^10 exceeds cap 67108864\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -369,6 +393,8 @@ class TestVerifyCommand:
 
 
 class TestRunConfig:
+    """The configuration a report echoes is the parsed namespace (`_config`)."""
+
     @pytest.mark.parametrize(
         "option", [["--threads", "2"], ["--format", "json"]], ids=["threads", "format"]
     )
@@ -377,13 +403,52 @@ class TestRunConfig:
         assert code == 2 and out == ""
 
     def test_serialization_has_no_thread_field(self):
-        cfg = RunConfig(command="verify", suite="rsu")
-        assert "threads" not in cfg.to_dict()
+        assert "threads" not in _config(fast_parse(["verify", "--suite", "rsu"]))
 
     def test_none_fields_dropped(self):
-        cfg = RunConfig(command="bound", p=2, m=1)
-        d = cfg.to_dict()
+        d = _config(fast_parse(["bound", "--p", "2", "--m", "1"]))
         assert "variant" not in d and d["p"] == 2
+
+    def test_config_serializes_every_set_field(self):
+        ns = fast_parse(["points", "--p", "2", "--m", "2", "--j", "1", "--n", "3", "--variant", "F"])
+        ns.size_cap = 5
+        assert _config(ns) == {
+            "command": "points", "p": 2, "e": 1, "m": 2, "j": 1, "n": 3, "variant": "F",
+            "format": "json", "size_cap": 5, "seed": 0,
+        }
+
+    # each report's echo, as printed before the namespace became the configuration
+    ECHOES = {
+        "fibers": (
+            ["fibers", "--p", "2", "--m", "3", "--j", "1", "--x", "[1,0,1]"],
+            {"command": "fibers", "e": 1, "format": "json", "j": 1, "m": 3, "p": 2, "seed": 0,
+             "x": "[1,0,1]"},
+        ),
+        "ss-count": (
+            ["ss-count", "--p", "5", "--m", "3", "--j", "1", "--n", "2"],
+            {"command": "ss-count", "e": 1, "format": "json", "j": 1, "m": 3, "n": 2, "p": 5, "seed": 0},
+        ),
+        "verify-p": (
+            ["verify", "--suite", "lemma1_6", "--p", "2", "--m", "3", "--j", "2"],
+            {"command": "verify", "e": 1, "format": "json", "j": 2, "m": 3, "p": 2, "seed": 0,
+             "suite": "lemma1_6"},
+        ),
+        "verify-grid": (
+            ["verify", "--suite", "rsu"],
+            {"command": "verify", "e": 1, "format": "json", "seed": 0, "suite": "rsu"},
+        ),
+        "verify-seed": (
+            ["verify", "--suite", "rsu", "--p", "2", "--e", "2", "--m", "3", "--j", "2", "--seed", "7"],
+            {"command": "verify", "e": 2, "format": "json", "j": 2, "m": 3, "p": 2, "seed": 7,
+             "suite": "rsu"},
+        ),
+    }
+
+    @pytest.mark.parametrize("argv, echo", ECHOES.values(), ids=ECHOES)
+    def test_report_echo(self, capsys, monkeypatch, argv, echo):
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["config"] == dict(echo, size_cap=DEFAULT_SIZE_CAP)
 
 
 # F_{q^m} above this size runs with the cap at this size; a full run stays

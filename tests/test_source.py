@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from drinfeld_towers import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld_towers"
 BROAD = {"Exception", "BaseException"}
 
@@ -68,3 +70,23 @@ def test_listing_cap_only_where_listed(path):
         assert name != "check_enumerable", f"check_enumerable at {where}"
         if name == "ENUMERATION_CAP" and not isinstance(getattr(node, "ctx", None), ast.Store):
             assert scope == ("FieldCtx", "subfield_elements"), f"ENUMERATION_CAP read at {where}"
+
+
+def test_every_command_has_one_handler():
+    assert cli._HANDLERS.keys() == cli.COMMANDS.keys()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_config_echoes_only_declared_options(monkeypatch, command):
+    # a report echoes the namespace its handler runs on: the command's own
+    # options, and no key beyond them but the command, the size cap in force
+    # and the format and seed filled in for every report
+    options = cli.COMMANDS[command][1]
+    argv = [command]
+    for name, spec in options.items():
+        if spec.get("required"):
+            argv += ["--" + name, spec["choices"][0] if "choices" in spec else "2"]
+    echoed = []
+    monkeypatch.setitem(cli._HANDLERS, command, lambda ns, out: echoed.append(cli._config(ns)) or 0)
+    assert cli.main(argv) == 0
+    assert set(echoed[0]) - set(options) <= {"command", "format", "seed", "size_cap"}

@@ -314,7 +314,7 @@ class TestEnumeration:
             sizes = [next(walk) for _ in range(3)]
             levels = range(1, 4) if variant != "H" else range(2, 5)
             assert sizes == [len(enumerate_rational(params, n, variant)) for n in levels]
-            assert sizes == list(itertools.islice(towers._level_sizes(params, ctx, variant), 3))
+            assert sizes == list(itertools.islice(towers._level_sizes(params, variant), 3))
 
     @pytest.mark.parametrize("params", LEVEL_SIZE_TOWERS, ids=lambda pr: f"{pr.p}{pr.e}{pr.m}{pr.j}")
     def test_hyperplane_sizes_match_walks(self, params):
@@ -322,7 +322,7 @@ class TestEnumeration:
         ctx = params.field(params.m)
         for variant in ("F", "G"):
             walk = towers._chain_counts(params, ctx, variant)
-            sizes = towers._level_sizes(params, ctx, variant)
+            sizes = towers._level_sizes(params, variant)
             assert [next(sizes) for _ in range(5)] == [next(walk) for _ in range(5)]
 
     def test_counts_list_no_field(self, monkeypatch):
@@ -334,10 +334,10 @@ class TestEnumeration:
         monkeypatch.setattr(type(ctx), "all_elements", fail)
         monkeypatch.setattr(type(ctx), "subfield_elements", fail)
         assert count_supersingular(P2152, 40) == (31 * 16**39,) * 2
-        assert next(itertools.islice(towers._level_sizes(P2152, ctx, "G"), 3, None)) == 31 * 16**3
+        assert next(itertools.islice(towers._level_sizes(P2152, "G"), 3, None)) == 31 * 16**3
         monkeypatch.setattr(field, "ENUMERATION_CAP", 31)
         for variant in ("F", "G"):
-            sizes = towers._level_sizes(P2152, ctx, variant)
+            sizes = towers._level_sizes(P2152, variant)
             assert [next(sizes) for _ in range(3)] == [31, 31 * 16, 31 * 16**2]
 
     @pytest.mark.parametrize(

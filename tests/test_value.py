@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-from drinfeld_towers.cli import RunConfig
 from drinfeld_towers.drinfeld import DrinfeldModule
 from drinfeld_towers.isogeny import TowerParams, XChain
 from drinfeld_towers.ore import Subspace
@@ -28,7 +27,6 @@ BUILDERS = {
     "Subspace": lambda: Subspace.from_vectors(F4, [W]),
     "TowerPoint": lambda: TowerPoint("F", P221, F4, (F4.one, Y)),
     "RSU": lambda: RSU(F4.one, W, F4.zero),
-    "RunConfig": lambda: RunConfig("bound", p=2, m=2),
 }
 
 
@@ -72,14 +70,6 @@ def test_other_types_never_equal():
 
 def test_repr_shows_fields_not_derived_data():
     assert repr(P221) == "TowerParams(p=2, e=1, m=2, j=1, k=1, a=1, b=0)"
-
-
-def test_config_serializes_every_set_field():
-    cfg = RunConfig("points", p=2, e=1, m=2, j=1, n=3, variant="F")
-    assert cfg.to_dict() == {
-        "command": "points", "p": 2, "e": 1, "m": 2, "j": 1, "n": 3, "variant": "F",
-        "format": "json", "size_cap": cfg.size_cap, "seed": 0,
-    }
 
 
 def test_cli_import_skips_heavy_modules():
