@@ -74,6 +74,13 @@ def size_cap() -> int:
     return cap
 
 
+def check_size_cap(p: int, e: int, d: int) -> None:
+    """Raise SizeCapExceeded if F_{(p^e)^d} would pass the size cap."""
+    cap = size_cap()
+    if p ** (e * d) > cap:
+        raise SizeCapExceeded(f"p^(e*d) = {p}^{e * d} exceeds cap {cap}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the prime bases 2, ..., 41, which is exact
     below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster,
@@ -225,8 +232,13 @@ def _is_irreducible(f, ops) -> bool:
 
 
 def least_irreducible(deg: int, ops) -> tuple:
-    """Least monic irreducible of the given degree, coefficient order ascending."""
+    """Least monic irreducible of the given degree, coefficient order ascending.
+
+    Above degree 1 a candidate with constant term 0 is divisible by y, so
+    only the indices with a nonzero low digit are tested."""
     for idx in range(ops.size**deg):
+        if deg > 1 and idx % ops.size == 0:
+            continue
         f = _poly_from_index(idx, deg, ops.size)
         if _is_irreducible(f, ops):
             return f
@@ -369,9 +381,7 @@ class FieldCtx:
             raise NotPrime(f"{p} is not prime")
         if e < 1 or d < 1:
             raise ValueError("extension degrees must be positive")
-        cap = size_cap()
-        if p ** (e * d) > cap:
-            raise SizeCapExceeded(f"p^(e*d) = {p}^{e * d} exceeds cap {cap}")
+        check_size_cap(p, e, d)
         self.p = p
         self.e = e
         self.d = d
@@ -388,7 +398,8 @@ class FieldCtx:
             _sparse(poly_mod((0,) * (d + i) + (1,), self.ext_modulus, self._bops))
             for i in range(d - 1)
         ]
-        self._subfield_cache: dict = {}
+        self._subfield_cache: dict = {}  # m -> the elements of F_{q^m}
+        self._subfield_bases: dict = {}  # m -> an F_q-basis of F_{q^m}
         self._log = None  # element -> k with g^k = element (zero -> None), when q^d <= LOG_CAP
         if self.q**d <= LOG_CAP:
             self._build_logs()
@@ -640,15 +651,23 @@ class FieldCtx:
         if self.q**m > ENUMERATION_CAP:
             raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
         cached = self._subfield_cache.get(m)
-        if cached is not None:
-            return list(cached)
-        from .linalg import solve
+        if cached is None:
+            cached = self._subfield_cache[m] = tuple(self.span_elements(self.subfield_basis(m)))
+        return list(cached)
 
-        # fixed points of frob^m: the kernel of u -> u^{q^m} - u
-        cols = [self.sub(self.frobenius(u, m), u) for u in self.basis]
-        span = self.span_elements(solve(tuple(zip(*cols)), self.zero, self._bops)[1])
-        self._subfield_cache[m] = tuple(span)
-        return span
+    def subfield_basis(self, m: int) -> tuple:
+        """An F_q-basis of F_{q^m} inside this field, listing nothing: the
+        kernel of the F_q-linear map u -> u^{q^m} - u, whose fixed points
+        F_{q^m} are."""
+        if m < 1 or self.d % m != 0:
+            raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
+        basis = self._subfield_bases.get(m)
+        if basis is None:
+            from .linalg import solve
+
+            cols = [self.sub(self.frobenius(u, m), u) for u in self.basis]
+            basis = self._subfield_bases[m] = solve(tuple(zip(*cols)), self.zero, self._bops)[1]
+        return basis
 
     def span_elements(self, basis) -> list:
         """All F_q-linear combinations of the basis vectors, in canonical order."""

@@ -4,22 +4,26 @@ Covers the auxiliary twisted polynomials eta_x, lambda_x, Q_x and the
 identities tying them together; the twisted module Phi_T = phi_{F(T)} with
 its bracket-coefficient expansion; kernel spaces of composite isogenies; and
 the marked-point / round-trip checks behind the level-structure
-correspondence.  Over a tabled field, `phi_logs`, `lambda_logs` and the two
-identities also come in exponent form, on the discrete log s of x.
+correspondence, both computed on subspace bases.  Over a tabled field,
+`phi_logs`, `lambda_logs`, the two identities and the trace relations of
+`towers.rsu` (`rsu_logs`) also come in exponent form, on the discrete log s
+of x.
 """
 
 from __future__ import annotations
 
+from . import linalg
 from .drinfeld import APoly, DrinfeldModule, check_rank_pair, cyclic_module, module_from_point, monic_apolys, phi_a
 from .errors import (
     BracketMismatch,
     CharacteristicDividesK,
     NoMarkedPreimage,
     NotCyclic,
+    NotOnCurve,
     NotPrime,
     ZeroPoint,
 )
-from .field import FieldCtx, FieldElem, embed, is_prime, make_field
+from .field import FieldCtx, FieldElem, _sparse, embed, is_prime, make_field
 from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul, ore_mul_logs
 from .value import Value
 
@@ -154,6 +158,48 @@ def intertwine_logs(ctx: FieldCtx, lam: list, phi_T: list, psi_T: list) -> bool:
     return ore_mul_logs(ctx, lam, phi_T) == ore_mul_logs(ctx, psi_T, lam)
 
 
+def _log_sum(ctx: FieldCtx, logs) -> int | None:
+    """The log of the sum of the g^t over logs t in [0, n), None standing for
+    zero: one Zech lookup per term, as in `ore.ore_mul_logs`."""
+    n, zech, acc = ctx._n, ctx._zech, None
+    for t in logs:
+        if t is None:
+            continue
+        if acc is None:
+            acc = t
+            continue
+        k = zech[t - acc]
+        acc = None if k is None else (acc + k) % n
+    return acc
+
+
+def rsu_logs(params: TowerParams, ctx: FieldCtx, s: int, t: int | None) -> tuple:
+    """`towers.rsu` at x = g^s and y = g^t (None for y = 0): the logs of R, S
+    and u, each relation checked in the same order and failing with the same
+    NotOnCurve message.  R = y/x^{q^k} and S = y^{q^j}/x are monomials, a
+    q-power multiplies a log by q^i, and the traces and u are Zech sums."""
+    n, qpow, d, log = ctx._n, ctx._qpow, ctx.d, ctx._log
+
+    def frob(v, i):
+        return None if v is None else v * qpow[i % d] % n
+
+    def trace(v, terms, step=1):  # sum of v^{q^{step i}} over i < terms
+        return _log_sum(ctx, [frob(v, step * i) for i in range(terms)])
+
+    j, k, a, b = params.j, params.k, params.a, params.b
+    R = None if t is None else (t - s * qpow[k % d]) % n
+    S = None if t is None else (t * qpow[j % d] - s) % n
+    if _log_sum(ctx, [trace(R, j), trace(S, k)]) != 0:  # log 1 = 0
+        raise NotOnCurve("(x, y) does not satisfy the F-recursion")
+    u = _log_sum(ctx, [trace(R, a, k), frob(trace(S, b, j), 1)])
+    if R != _log_sum(ctx, [trace(u, k), log[ctx.scalar(-b)]]):
+        raise NotOnCurve("R = tr_k(u) - b violated")
+    tr_j = trace(u, j)
+    if S != _log_sum(ctx, [None if tr_j is None else (tr_j + ctx._log_neg1) % n, log[ctx.scalar(a)]]):
+        raise NotOnCurve("S = -tr_j(u) + a violated")
+    return R, S, u
+
+
 def F_and_f(params: TowerParams, ctx: FieldCtx) -> tuple:
     """F(T) = 1 - (1 - T)^k = T*f(T); needs p not dividing k."""
     if not params.k_coprime_to_p:
@@ -247,9 +293,12 @@ def e_space(chain: XChain) -> Subspace:
 def check_theta_marked_point(chain: XChain) -> bool:
     """Marked-point consistency of the level-structure correspondence.
 
-    Finds every h in E_n with Phi_{T^{n-1}}(h) = x_1 (Phi built from
-    phi^{x_1}) and checks that lambda_{x_{n-1}} ... lambda_{x_1}(h) = x_n for
-    each.  Raises NoMarkedPreimage when no such h exists in the ambient.
+    The h in E_n with Phi_{T^{n-1}}(h) = x_1 (Phi built from phi^{x_1}) are
+    h_0 + K, read off one `linalg.solve` of sum c_i Phi(b_i) = x_1 over E_n's
+    basis b.  Checks that lambda_{x_{n-1}} ... lambda_{x_1}(h) = x_n for each
+    such h: the maps are F_q-linear, so this holds iff the composite sends
+    h_0 to x_n and kills each basis vector of K.  Raises NoMarkedPreimage
+    when no such h exists in the ambient.
     """
     params, ctx = chain.params, chain.ctx
     n = len(chain)
@@ -257,20 +306,28 @@ def check_theta_marked_point(chain: XChain) -> bool:
     phi = params.module_at(ctx, x1)
     big_F, _ = F_and_f(params, ctx)
     phi_F_pow = phi_a(phi, big_F ** (n - 1))
-    space = e_space(chain)
-    preimages = [h for h in space.elements() if evaluate(phi_F_pow, h) == x1]
-    if not preimages:
+    basis = e_space(chain).basis
+    images = [evaluate(phi_F_pow, b) for b in basis]
+    sol = linalg.solve([[v[i] for v in images] for i in range(ctx.d)], x1, ctx._bops)
+    if sol is None:
         raise NoMarkedPreimage("H_n is empty; ambient too small or inconsistent chain")
+    h0, K = sol
     comp = chain.composite(n - 1)
-    target = chain.coords[-1]
-    return all(evaluate(comp, h) == target for h in preimages)
+    if evaluate(comp, _combination(ctx, h0, basis)) != chain.coords[-1]:
+        return False
+    return all(evaluate(comp, _combination(ctx, k, basis)) == ctx.zero for k in K)
+
+
+def _combination(ctx: FieldCtx, coeffs, vectors) -> FieldElem:
+    """sum c_i v_i for base ints c_i, in the one F_q accumulate loop."""
+    return ctx._bops.combine(ctx.zero, coeffs, map(_sparse, vectors))
 
 
 def span_qk(params: TowerParams, ctx: FieldCtx, S) -> Subspace:
-    """Smallest F_{q^k}-stable subspace containing S, as an F_q-Subspace."""
-    scalars = ctx.subfield_elements(params.k)
-    vectors = [ctx.mul(mu, s) for s in S for mu in scalars]
-    return Subspace.from_vectors(ctx, vectors)
+    """Smallest F_{q^k}-stable subspace containing S, as an F_q-Subspace: the
+    F_q-span of w s over an F_q-basis w of F_{q^k} and s in S."""
+    scalars = ctx.subfield_basis(params.k)
+    return Subspace.from_vectors(ctx, [ctx.mul(w, s) for s in S for w in scalars])
 
 
 def _check_cyclic(phi: DrinfeldModule, G_n: Subspace, n: int) -> FieldElem:
@@ -291,19 +348,17 @@ def _check_cyclic(phi: DrinfeldModule, G_n: Subspace, n: int) -> FieldElem:
 def check_roundtrip(params: TowerParams, phi: DrinfeldModule, G_n: Subspace, n: int) -> bool:
     """Both composite identities of the level-structure equivalence.
 
-    With E_n = F_{q^k}<G_n>: applying phi_{f(T)^n} elementwise to E_n must
-    reproduce G_n exactly, and re-spanning the image over F_{q^k} must give
-    back E_n.
+    With E_n = F_{q^k}<G_n>: phi_{f(T)^n} must map E_n onto G_n exactly, and
+    re-spanning the image over F_{q^k} must give back E_n.  phi_{f(T)^n} is
+    F_q-linear, so the image is the span of the images of E_n's basis.
     """
     ctx = phi.ctx
     _check_cyclic(phi, G_n, n)
     _, f = F_and_f(params, ctx)
     f_pow = phi_a(phi, f**n)
-    e_span = span_qk(params, ctx, G_n.elements())
-    image = {evaluate(f_pow, v) for v in e_span.elements()}
-    if image != set(G_n.elements()):
-        return False
-    return span_qk(params, ctx, image) == e_span
+    e_span = span_qk(params, ctx, G_n.basis)
+    image = Subspace.from_vectors(ctx, [evaluate(f_pow, v) for v in e_span.basis])
+    return image == G_n and span_qk(params, ctx, image.basis) == e_span
 
 
 def check_lemma_2_9(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> bool:

@@ -4,14 +4,17 @@ A TwistedPoly acts on its field as the q-linearized map
 f(mu) = sum g_i mu^{q^i}; multiplication in the ring models composition of
 these maps.  Kernels and affine solution sets are computed by exact linear
 algebra over F_q inside the ambient field standing in for the algebraic
-closure.
+closure; the least ambient that splits a whole kernel is read off a matrix
+order (`splitting_degree`), without building the ambients below it.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .errors import ContextMismatch
-from .field import FieldCtx, FieldElem, embed, make_field
+from .field import FieldCtx, FieldElem, check_size_cap, embed, make_field
 from .value import Value
 
 
@@ -255,15 +258,69 @@ def splitting_degree(f: TwistedPoly, target_dim: int) -> int:
     """Least multiple D of the ambient degree at which Ker(f) reaches target_dim.
 
     Requires a nonzero constant coefficient (so f is separable and the kernel
-    stops growing once full).  Raises SizeCapExceeded once the next ambient
-    would outgrow the field size cap.
+    stops growing once full).  For the full kernel, target_dim = f's
+    tau-degree, D = d ord(B) in closed form (`_frobenius_order`), confirmed
+    by one kernel at F_{q^D}; any other target_dim is searched for, one
+    ambient per multiple of d.  Either way raises SizeCapExceeded once the
+    next ambient would outgrow the field size cap.
     """
     ctx = f.ctx
     if f.is_zero() or f.coeff(0) == ctx.zero:
         raise ValueError("splitting_degree needs a nonzero constant coefficient")
+    if target_dim != f.tau_degree:
+        return _splitting_search(f, target_dim)
+    D = ctx.d * _frobenius_order(f)
+    if kernel(f.map_to(make_field(ctx.p, ctx.e, D))).dim != target_dim:
+        raise ArithmeticError(f"Ker(f) is not split at the closed-form degree {D}")
+    return D
+
+
+def _splitting_search(f: TwistedPoly, target_dim: int) -> int:
+    """`splitting_degree` by trying the ambients F_{q^d}, F_{q^{2d}}, ... in turn."""
+    ctx = f.ctx
     D = ctx.d
     while True:
         amb = make_field(ctx.p, ctx.e, D)
         if kernel(f.map_to(amb)).dim == target_dim:
             return D
         D += ctx.d
+
+
+def _frobenius_order(f: TwistedPoly) -> int:
+    """The least t with Ker(f) inside F_{q^{dt}}, f = g_0 + ... + g_r tau^r over
+    L = F_{q^d}, g_0 g_r != 0 (Gekeler, Trans. AMS 2008; Musleh-Schost, ISSAC
+    2019).
+
+    On Ker(f), v(mu) = (mu, mu^q, ..., mu^{q^{r-1}}) has v(mu^q) = C v(mu)
+    for the tau-companion matrix C of f, and mu^q lies in the kernel of f
+    with each coefficient raised to the q, so v(mu^{q^d}) = B v(mu) with
+    B = C^{sigma^{d-1}} ... C^sigma C, sigma raising each entry to the q.
+    B has entries in L, so v(mu^{q^{dt}}) = B^t v(mu); the v(mu) of an
+    F_q-basis of the r-dimensional kernel are the columns of an invertible
+    Moore matrix, so the whole kernel lies in F_{q^{dt}} iff B^t = 1.  The
+    powers of B are tried in turn, B^t only once `check_size_cap` admits
+    F_{q^{dt}}.
+    """
+    ctx = f.ctx
+    *low, top = f.coeffs
+    r, scale = len(low), ctx.neg(ctx.inv(top))
+    one, zero = ctx.one, ctx.zero
+    identity = tuple(tuple(one if c == i else zero for c in range(r)) for i in range(r))
+    # mu^{q^r} = -(g_0 mu + ... + g_{r-1} mu^{q^{r-1}}) / g_r on Ker(f)
+    C = identity[1:] + (tuple(ctx.mul(scale, g) for g in low),) if r else ()
+    B = C
+    for i in range(1, ctx.d):
+        B = _mat_mul(ctx, tuple(tuple(ctx.frobenius(c, i) for c in row) for row in C), B)
+    power, t = B, 1
+    while True:
+        check_size_cap(ctx.p, ctx.e, ctx.d * t)
+        if power == identity:
+            return t
+        power, t = _mat_mul(ctx, power, B), t + 1
+
+
+def _mat_mul(ctx: FieldCtx, X: tuple, Y: tuple) -> tuple:
+    """The product of two square matrices over ctx, as tuples of rows."""
+    add, mul, zero = ctx.add, ctx.mul, ctx.zero
+    cols = tuple(zip(*Y))
+    return tuple(tuple(functools.reduce(add, map(mul, row, col), zero) for col in cols) for row in X)

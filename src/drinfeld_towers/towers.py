@@ -218,15 +218,21 @@ def iter_rational(params: TowerParams, n: int, variant: str):
     if variant == "H" and n < 2:
         raise ValueError("H-variant needs n >= 2")
     length = n if variant != "H" else n - 1
-    for size in itertools.islice(_level_sizes(params, variant), length):
-        if size > POINTS_CAP:
-            raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
+    _check_points_cap(params, variant, length)
     ctx = params.field(params.m)
     successors = _level_candidates(params, ctx, variant)
     frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
         frontier = (t + (y,) for t in frontier for y in successors(t[-1]))
     return (TowerPoint(variant, params, ctx, coords) for coords in frontier)
+
+
+def _check_points_cap(params: TowerParams, variant: str, length: int) -> None:
+    """Raise SizeCapExceeded if a level of chains of up to `length`
+    coordinates holds more than POINTS_CAP of them."""
+    for size in itertools.islice(_level_sizes(params, variant), length):
+        if size > POINTS_CAP:
+            raise SizeCapExceeded(f"{size} points on one level exceed the cap {POINTS_CAP}")
 
 
 def _level_sizes(params: TowerParams, variant: str):

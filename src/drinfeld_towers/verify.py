@@ -12,11 +12,19 @@ the report, and the CLI exits 1.  Every other error propagates, so a resource
 limit hit inside a suite (a size cap, or memory) makes the CLI exit 3 with
 nothing on stdout.
 
-lemma1_6 and thm1_7 sweep every nonzero x of a field, so they table it first
-(`_sweep`), and compute each case on discrete logs: the exponent forms of
-`isogeny` (`lemma_1_6_logs`, `intertwine_logs`) multiply by `ore.ore_mul_logs`.
-The object checks `verify_lemma_1_6` and `check_intertwine` are their test
-oracle, and `check_intertwine` still checks thm1_7's chain composites.
+lemma1_6, thm1_7 and rsu's rational pairs sweep every nonzero x of a field,
+so they table it first (`_sweep`), and compute each case on discrete logs:
+the exponent forms of `isogeny` (`lemma_1_6_logs`, `intertwine_logs`,
+`rsu_logs`), whose products go through `ore.ore_mul_logs`.  thm1_7 and rsu
+read their fiber pairs from the one cached successor relation
+(`towers._level_candidates`).  The object checks `verify_lemma_1_6`,
+`check_intertwine` and `towers.rsu` are their test oracle; `check_intertwine`
+still checks thm1_7's chain composites and `rsu` the random pairs of
+rsu_random, which are not swept.  theta and roundtrip sweep nothing: their
+checks solve over subspace bases in splitting ambients, whose degrees are
+closed-form (`ore.splitting_degree`).  `run_suite("all")` takes theta's
+degrees before any suite computes, so an ambient past the size cap ends the
+run first.
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from .isogeny import (
     lambda_logs,
     lemma_1_6_logs,
     phi_logs,
+    rsu_logs,
 )
 from .ore import kernel, splitting_degree
-from .towers import enumerate_rational, fiber_solutions, iter_rational, rsu
+from .towers import _check_points_cap, _level_candidates, fiber_solutions, iter_rational, rsu
 
 # (p, e, m, j) for q in {2, 3, 4, 5}; every tuple here has k = m - j = 1
 DEFAULT_GRID = (
@@ -120,10 +129,10 @@ def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
 
 
 def _thm1_7_cases(params: TowerParams, ctx):
-    nonzero, log = _sweep(ctx), ctx._log
+    nonzero, log, successors = _sweep(ctx), ctx._log, _level_candidates(params, ctx, "F")
     for x in nonzero:
         lam, phi_x = lambda_logs(params, ctx, log[x]), phi_logs(params, ctx, log[x])
-        for y in fiber_solutions(params, ctx, x):
+        for y in successors(x):
             yield lambda: intertwine_logs(ctx, lam, phi_x, phi_logs(params, ctx, log[y])), lambda: _named(ctx, x=x, y=y)
     # composites over length-3 chains (capped; order is canonical)
     for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
@@ -142,18 +151,29 @@ def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
     return entries
 
 
-def suite_theta(grid=DEFAULT_GRID, seed: int = 0) -> list:
-    """Marked-point consistency on length-2 chains in a splitting ambient."""
+def _theta_plan(tup: tuple) -> tuple:
+    """(params, chains, degrees) for theta at one grid tuple: the first three
+    length-2 rational chains and the closed-form splitting degree of each
+    composite (`splitting_degree`), so no ambient is built but the one that
+    confirms each degree; (params, None, None) when p divides k."""
+    params = TowerParams(*tup)
+    if not params.k_coprime_to_p:
+        return params, None, None
+    ctx = params.field(params.m)
+    points = itertools.islice(iter_rational(params, 2, "F"), 3)
+    chains = [XChain(params, ctx, pt.coords) for pt in points]
+    return params, chains, [splitting_degree(chain.composite(), 2 * params.k) for chain in chains]
+
+
+def suite_theta(grid=DEFAULT_GRID, seed: int = 0, plans=None) -> list:
+    """Marked-point consistency on length-2 chains in a splitting ambient;
+    `plans` are the `_theta_plan`s of the grid's tuples, if already taken."""
     entries = []
-    for tup in grid:
-        params = TowerParams(*tup)
-        if not params.k_coprime_to_p:
+    for params, chains, degs in map(_theta_plan, grid) if plans is None else plans:
+        if chains is None:
             entries.append(_entry("theta", params, None, (), skipped="p divides k"))
             continue
         ctx = params.field(params.m)
-        points = itertools.islice(iter_rational(params, 2, "F"), 3)
-        chains = [XChain(params, ctx, pt.coords) for pt in points]
-        degs = [splitting_degree(chain.composite(), 2 * params.k) for chain in chains]
         cases = (
             (lambda: check_theta_marked_point(chain.map_to(params.field(deg))),
              lambda: f"chain {_listed(ctx, chain.coords)}")
@@ -197,14 +217,20 @@ def suite_roundtrip(grid=DEFAULT_GRID, seed: int = 0) -> list:
 def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """Trace relations R = tr_k(u) - b, S = -tr_j(u) + a on rational and random pairs.
 
-    rsu raises NotOnCurve when a relation fails, so a case passes when it returns.
+    rsu and rsu_logs raise NotOnCurve when a relation fails, so a case passes
+    when it returns.  The rational pairs are each x of the swept F_{q^m} with
+    each of its cached successors, checked on discrete logs (`rsu_logs`)
+    after the level-2 points cap; the random pairs are not swept, and stay on
+    the coordinate path (`rsu`).
     """
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
         ctx = params.field(params.m)
-        pairs = (pt.coords for pt in enumerate_rational(params, 2, "F"))
-        cases = ((lambda: rsu(params, ctx, x, y), lambda: _listed(ctx, (x, y))) for x, y in pairs)
+        _check_points_cap(params, "F", 2)
+        nonzero, log, successors = _sweep(ctx), ctx._log, _level_candidates(params, ctx, "F")
+        pairs = ((x, y) for x in nonzero for y in successors(x))
+        cases = ((lambda: rsu_logs(params, ctx, log[x], log[y]), lambda: _listed(ctx, (x, y))) for x, y in pairs)
         entries.append(_entry("rsu", params, params.m, cases))
 
         # random geometric solutions in the degree-2m ambient, seeded for determinism
@@ -243,7 +269,10 @@ SUITES = tuple(_SUITE_FUNCS)
 
 def run_suite(name: str, grid=DEFAULT_GRID, seed: int = 0) -> list:
     if name == "all":
-        return [entry for s in SUITES for entry in _SUITE_FUNCS[s](grid, seed)]
+        # theta's plans first: an ambient past the size cap ends the run before any suite computes
+        plans = [_theta_plan(tup) for tup in grid]
+        run = dict(_SUITE_FUNCS, theta=lambda grid, seed: suite_theta(grid, seed, plans))
+        return [entry for s in SUITES for entry in run[s](grid, seed)]
     if name not in _SUITE_FUNCS:
         raise KeyError(f"unknown suite {name!r}")
     return _SUITE_FUNCS[name](grid, seed)

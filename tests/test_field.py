@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import operator
 import random
@@ -219,6 +220,17 @@ class TestIrreducibility:
         modulus = least_irreducible(10, _BaseOps(5, 1))
         assert modulus == (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
         assert len(calls) < 1000
+
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 1, 8), (3, 1, 1), (3, 1, 9), (2, 2, 6), (5, 1, 4), (3, 2, 3)])
+    def test_search_skips_multiples_of_y(self, monkeypatch, p, e, d):
+        # above degree 1 a candidate with constant term 0 is divisible by y
+        # and goes untested; the first irreducible found is the full scan's
+        ops, tested, irreducible = _BaseOps(p, e), [], field._is_irreducible
+        full = next(f for f in (_poly_from_index(i, d, ops.size) for i in itertools.count()) if irreducible(f, ops))
+        monkeypatch.setattr(field, "_is_irreducible", lambda f, ops: tested.append(f) or irreducible(f, ops))
+        assert least_irreducible(d, ops) == full == tested[-1]
+        assert all(f[0] != 0 for f in tested) if d > 1 else tested == [(0, 1)]
 
 
 class TestArithmetic:

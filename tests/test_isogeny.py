@@ -1,9 +1,18 @@
+import itertools
 import math
 
 import pytest
 
-from drinfeld_towers.drinfeld import APoly, DrinfeldModule, cyclic_module
-from drinfeld_towers.errors import BadRankPair, CharacteristicDividesK, NotPrime, ZeroPoint
+from drinfeld_towers.drinfeld import APoly, DrinfeldModule, cyclic_module, phi_a
+from drinfeld_towers.errors import (
+    BadRankPair,
+    CharacteristicDividesK,
+    NoMarkedPreimage,
+    NotCyclic,
+    NotPrime,
+    SizeCapExceeded,
+    ZeroPoint,
+)
 from drinfeld_towers.field import make_field
 from drinfeld_towers.isogeny import (
     TowerParams,
@@ -14,6 +23,7 @@ from drinfeld_towers.isogeny import (
     check_lemma_2_9,
     check_roundtrip,
     check_theta_marked_point,
+    _check_cyclic,
     e_space,
     eta,
     F_and_f,
@@ -22,7 +32,9 @@ from drinfeld_towers.isogeny import (
     span_qk,
     verify_lemma_1_6,
 )
-from drinfeld_towers.ore import TwistedPoly, evaluate, kernel, ore_mul, splitting_degree
+from drinfeld_towers.ore import Subspace, TwistedPoly, evaluate, kernel, ore_mul, splitting_degree
+from drinfeld_towers.towers import iter_rational
+from drinfeld_towers.verify import DEFAULT_GRID
 
 P221 = TowerParams(2, 1, 2, 1)
 P232 = TowerParams(2, 1, 3, 2)
@@ -321,3 +333,115 @@ class TestSpansAndRoundtrip:
             assert check_lemma_2_9(P331, ctx, x)
             hits += 1
         assert hits >= 20
+
+
+# ---------------------------------------------------------------------------
+# the marked-point and round-trip checks on bases, against their first
+# versions, which list every element of E_n and of the spans
+
+
+def _theta_by_listing(chain):
+    """`check_theta_marked_point` by testing every h of E_n."""
+    params, ctx = chain.params, chain.ctx
+    n, x1 = len(chain), chain.coords[0]
+    big_F, _ = F_and_f(params, ctx)
+    phi_F_pow = phi_a(params.module_at(ctx, x1), big_F ** (n - 1))
+    preimages = [h for h in e_space(chain).elements() if evaluate(phi_F_pow, h) == x1]
+    if not preimages:
+        raise NoMarkedPreimage("H_n is empty; ambient too small or inconsistent chain")
+    comp = chain.composite(n - 1)
+    return all(evaluate(comp, h) == chain.coords[-1] for h in preimages)
+
+
+def _span_by_listing(params, ctx, S):
+    """`span_qk` over every scalar of F_{q^k}."""
+    return Subspace.from_vectors(ctx, [ctx.mul(mu, s) for s in S for mu in ctx.subfield_elements(params.k)])
+
+
+def _roundtrip_by_listing(params, phi, G_n, n):
+    """`check_roundtrip` applying phi_{f(T)^n} to every element of E_n."""
+    ctx = phi.ctx
+    _check_cyclic(phi, G_n, n)
+    _, f = F_and_f(params, ctx)
+    f_pow = phi_a(phi, f**n)
+    e_span = _span_by_listing(params, ctx, G_n.elements())
+    image = {evaluate(f_pow, v) for v in e_span.elements()}
+    if image != set(G_n.elements()):
+        return False
+    return _span_by_listing(params, ctx, image) == e_span
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the property error it raises."""
+    try:
+        return check(*args)
+    except (NoMarkedPreimage, NotCyclic) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _unchecked_chain(params, ctx, coords):
+    """An XChain whose coordinates skip the Q_x(y) = x validation."""
+    chain = object.__new__(XChain)
+    chain._assign(params, ctx, coords)
+    return chain
+
+
+def _theta_chains():
+    """(name, chain) for the suite's chains in their splitting ambients, the
+    same chains in F_{q^m} and in each intermediate ambient (too small), with
+    x_n moved to the next nonzero element, and extended by that element."""
+    for tup in DEFAULT_GRID + ((2, 1, 4, 3),):
+        params = TowerParams(*tup)
+        if not params.k_coprime_to_p:
+            continue
+        ctx = params.field(params.m)
+        for pt in itertools.islice(iter_rational(params, 2, "F"), 3):
+            chain = XChain(params, ctx, pt.coords)
+            deg = splitting_degree(chain.composite(), 2 * params.k)
+            amb = params.field(deg)
+            big = chain.map_to(amb)
+            x1, x2 = big.coords
+            other = amb.from_int(amb.to_int(x2) % (amb.q**amb.d - 1) + 1)
+            yield "split", big
+            for d in range(params.m, deg, params.m):
+                if deg % d == 0:
+                    yield "too small", chain.map_to(params.field(d))
+            yield "moved x_n", _unchecked_chain(params, amb, (x1, other))
+            yield "extended", _unchecked_chain(params, amb, (x1, x2, other))
+
+
+class TestBasisChecksMatchListing:
+    def test_marked_point(self):
+        seen = set()
+        for name, chain in _theta_chains():
+            got = _outcome(check_theta_marked_point, chain)
+            assert got == _outcome(_theta_by_listing, chain), (name, chain)
+            seen.add((name, got if isinstance(got, bool) else got[0]))
+            if name == "split":
+                assert got is True
+        # the cases reach every outcome
+        assert {("moved x_n", True), ("moved x_n", False), ("extended", "NoMarkedPreimage")} <= seen
+        assert {("too small", "NoMarkedPreimage"), ("extended", False)} <= seen
+
+    def test_roundtrip(self):
+        # the suite's two configurations on every point of Ker(phi_T), and the
+        # k = 2 module against a k = 4 tower, whose f(T) maps E_n elsewhere
+        amb = P331.field(8)
+        collapse = P232.module_at(P232.field(3), P232.field(3).one)
+        collapse = collapse.map_to(P232.field(splitting_degree(collapse.phi_T(), 3)))
+        configs = [(P331, DrinfeldModule(amb, 3, 1, amb.scalar(2))), (P232, collapse)]
+        configs += [(TowerParams(3, 1, 5, 1), DrinfeldModule(amb, 3, 1, g)) for g in amb.subfield_elements(2)]
+        outcomes = []
+        for params, phi in configs:
+            for mu in kernel(phi.phi_T()).elements()[1:]:
+                G = cyclic_module(phi, mu)
+                for n in (1, 2):
+                    got = _outcome(check_roundtrip, params, phi, G, n)
+                    assert got == _outcome(_roundtrip_by_listing, params, phi, G, n), (params, mu, n)
+                    outcomes.append(got if isinstance(got, bool) else got[0])
+        assert {True, False, "NotCyclic"} <= set(outcomes)
+
+    def test_span_on_scalar_basis(self):
+        ctx = P331.field(8)
+        for S in ([ctx.zero], [ctx.from_int(7)], [ctx.from_int(7), ctx.from_int(11)], ctx.basis[:3]):
+            assert span_qk(P331, ctx, S) == _span_by_listing(P331, ctx, S)

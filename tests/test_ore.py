@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_towers import field, linalg
+from drinfeld_towers import field, linalg, ore
+from drinfeld_towers.drinfeld import DrinfeldModule
 from drinfeld_towers.errors import ContextMismatch, SizeCapExceeded
 from drinfeld_towers.field import make_field
+from drinfeld_towers.isogeny import TowerParams, XChain
 from drinfeld_towers.ore import (
     Subspace,
     TwistedPoly,
@@ -23,6 +26,8 @@ from drinfeld_towers.ore import (
     solve_affine,
     splitting_degree,
 )
+from drinfeld_towers.towers import iter_rational
+from drinfeld_towers.verify import DEFAULT_GRID
 
 F4 = make_field(2, 1, 2)
 F9 = make_field(3, 1, 2)
@@ -272,3 +277,66 @@ class TestSplittingDegree:
         f = TwistedPoly(F4, (F4.one, F4.one))
         with pytest.raises(SizeCapExceeded):
             splitting_degree(f, 5)
+
+
+def _degree_or_cap(search, f, target):
+    """search(f, target), or the message of the SizeCapExceeded it raises."""
+    try:
+        return search(f, target)
+    except SizeCapExceeded as exc:
+        return str(exc)
+
+
+def _full_kernel_polys():
+    """Polynomials with a nonzero constant term, searched for their full
+    kernel: theta's chain composites, phi_T = 1 + g tau^j - tau^m for every g
+    of F_{q^m} on the default grid, and random ones over seven small fields."""
+    for tup in DEFAULT_GRID:
+        params = TowerParams(*tup)
+        ctx = params.field(params.m)
+        for pt in itertools.islice(iter_rational(params, 2, "F"), 3):
+            yield XChain(params, ctx, pt.coords).composite()
+        for g in ctx.all_elements():
+            yield DrinfeldModule(ctx, params.m, params.j, g).phi_T()
+    rng = random.Random(1)
+    for p, e, d in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 1), (5, 1, 1), (2, 1, 3)]:
+        ctx = make_field(p, e, d)
+        size = ctx.q**d
+        for _ in range(40):
+            r = rng.randint(1, 3)
+            inner = [rng.randrange(size) for _ in range(r - 1)]
+            yield poly(ctx, [rng.randrange(1, size), *inner, rng.randrange(1, size)])
+
+
+class TestSplittingClosedForm:
+    def test_matches_search(self):
+        # the search is the oracle; reversing the product B, or dropping its
+        # Frobenius twists, makes some of these disagree
+        outcomes = []
+        for f in _full_kernel_polys():
+            got = _degree_or_cap(splitting_degree, f, f.tau_degree)
+            assert got == _degree_or_cap(ore._splitting_search, f, f.tau_degree), f
+            outcomes.append(got)
+        degrees = {d for d in outcomes if isinstance(d, int)}
+        assert len(outcomes) == 435 and len(degrees) > 10 and len(degrees) < len(set(outcomes))
+
+    def test_one_kernel_confirms(self, monkeypatch):
+        # theta's degree at (2, 1, 2, 1) builds only the ambient it returns
+        calls, kernel_ = [], ore.kernel
+        monkeypatch.setattr(ore, "kernel", lambda f: calls.append(f.ctx.d) or kernel_(f))
+        params = TowerParams(2, 1, 2, 1)
+        chain = XChain(params, params.field(2), next(iter_rational(params, 2, "F")).coords)
+        assert splitting_degree(chain.composite(), 2) == 4 and calls == [4]
+
+    def test_cap_message_is_the_builds(self, monkeypatch):
+        # the closed form stops where the search's next build would be refused
+        monkeypatch.setenv("DRINFELD_SIZE_CAP", "32")
+        f = TwistedPoly(F4, (F4.one, F4.one, F4.neg(F4.one)))  # splits in degree 6
+        with pytest.raises(SizeCapExceeded) as closed:
+            splitting_degree(f, 2)
+        with pytest.raises(SizeCapExceeded) as searched:
+            ore._splitting_search(f, 2)
+        assert str(closed.value) == str(searched.value) == "p^(e*d) = 2^6 exceeds cap 32"
+
+    def test_constant_polynomial(self):
+        assert splitting_degree(TwistedPoly.constant(F9, F9.one), 0) == F9.d

@@ -90,3 +90,14 @@ def test_config_echoes_only_declared_options(monkeypatch, command):
     monkeypatch.setitem(cli._HANDLERS, command, lambda ns, out: echoed.append(cli._config(ns)) or 0)
     assert cli.main(argv) == 0
     assert set(echoed[0]) - set(options) <= {"command", "format", "seed", "size_cap"}
+
+
+@pytest.mark.parametrize("name", ["check_theta_marked_point", "check_roundtrip"])
+def test_level_structure_checks_list_nothing(name):
+    # both checks are linear algebra over a subspace's basis; listing E_n or
+    # a span costs q^dim where one solve or one echelon form answers
+    tree = ast.parse((SRC / "isogeny.py").read_text())
+    (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert not node.func.attr.endswith("elements"), f"{name} calls .{node.func.attr}() at line {node.lineno}"

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -14,9 +15,9 @@ from drinfeld_towers.cli import main
 from drinfeld_towers.drinfeld import DrinfeldModule
 from drinfeld_towers.errors import NoMarkedPreimage, NotCyclic, NotOnCurve, SizeCapExceeded
 from drinfeld_towers.field import FieldCtx, make_field
-from drinfeld_towers.isogeny import TowerParams, check_intertwine, verify_lemma_1_6
+from drinfeld_towers.isogeny import TowerParams, check_intertwine, rsu_logs, verify_lemma_1_6
 from drinfeld_towers.ore import TwistedPoly, ore_mul, ore_mul_logs
-from drinfeld_towers.towers import fiber_solutions
+from drinfeld_towers.towers import RSU, fiber_solutions, rsu
 from drinfeld_towers.verify import DEFAULT_GRID, _random_fiber_pairs
 
 # stdout sha256 at nonzero seeds, as printed when rsu_random drew x by
@@ -60,12 +61,15 @@ def test_seeded_report_unchanged(command, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEEDED_SHA256[command]
 
 
-# the check each suite's cases call, patched to raise; theta and rsu run on one
-# grid tuple, roundtrip on its fixed cases
+# the check each report entry's cases call, patched to raise, as (suite, entry
+# check, argv); theta and rsu run on one grid tuple, roundtrip on its fixed
+# cases.  The rsu suite checks its rational pairs on logs and its random pairs
+# on the coordinate path.
 RAISING_CHECKS = {
-    "rsu": ("rsu", ["--p", "2", "--m", "2", "--j", "1"]),
-    "check_theta_marked_point": ("theta", ["--p", "2", "--m", "2", "--j", "1"]),
-    "check_roundtrip": ("roundtrip", []),
+    "rsu_logs": ("rsu", "rsu", ["--p", "2", "--m", "2", "--j", "1"]),
+    "rsu": ("rsu", "rsu_random", ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_theta_marked_point": ("theta", "theta", ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_roundtrip": ("roundtrip", "roundtrip", []),
 }
 
 
@@ -80,7 +84,7 @@ def _raise(exc):
 @pytest.mark.parametrize("target", sorted(RAISING_CHECKS))
 def test_resource_limit_inside_suite_exits_3(target, exc, capsys, monkeypatch):
     monkeypatch.setattr(verify, target, _raise(exc))
-    suite, params = RAISING_CHECKS[target]
+    suite, _, params = RAISING_CHECKS[target]
     assert main(["verify", "--suite", suite, *params]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -89,22 +93,29 @@ def test_resource_limit_inside_suite_exits_3(target, exc, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "target, exc",
-    [("rsu", NotOnCurve), ("check_theta_marked_point", NoMarkedPreimage), ("check_roundtrip", NotCyclic)],
+    [
+        ("rsu_logs", NotOnCurve),
+        ("rsu", NotOnCurve),
+        ("check_theta_marked_point", NoMarkedPreimage),
+        ("check_roundtrip", NotCyclic),
+    ],
 )
 def test_property_error_inside_suite_is_a_failure(target, exc, capsys, monkeypatch):
+    # every case of the patched check's entries fails, and no other entry does
     monkeypatch.setattr(verify, target, _raise(exc("property fails")))
-    suite, params = RAISING_CHECKS[target]
+    suite, check, params = RAISING_CHECKS[target]
     assert main(["verify", "--suite", suite, *params]) == 1
     report = json.loads(capsys.readouterr().out)["report"]
-    run = [e for e in report if not e.get("skipped")]
+    run = [e for e in report if e["check"] == check and not e.get("skipped")]
     assert run and all(len(e["failures"]) == e["cases_run"] > 0 for e in run)
     assert all(f.endswith(": property fails") for e in run for f in e["failures"])
+    assert all(e["failures"] == [] for e in report if e["check"] != check)
 
 
 @pytest.mark.parametrize("target", sorted(RAISING_CHECKS))
 def test_bug_inside_suite_propagates(target, monkeypatch):
     monkeypatch.setattr(verify, target, _raise(TypeError("a bug")))
-    suite, _ = RAISING_CHECKS[target]
+    suite, _, _ = RAISING_CHECKS[target]
     with pytest.raises(TypeError, match="a bug"):
         verify.run_suite(suite, ((2, 1, 2, 1),))
 
@@ -291,3 +302,89 @@ def test_fiber_pairs_off_rational_catch_wrong_lambda(tup, failed, pairs):
     assert held["object"] == held["logs"]
     true, shifted = zip(*held["logs"])
     assert all(true) and len(shifted) == pairs and shifted.count(False) == failed
+
+
+# ---------------------------------------------------------------------------
+# rsu on discrete logs, against the object path on an untabled field
+
+
+def _rsu_outcome(check, *args):
+    """check(*args), or the message of the NotOnCurve it raises."""
+    try:
+        return check(*args)
+    except NotOnCurve as exc:
+        return str(exc)
+
+
+def _with_b(params, b):
+    """params with its Bezout b replaced, so that R = tr_k(u) - b fails on the curve."""
+    out = object.__new__(TowerParams)
+    out._assign(params.p, params.e, params.m, params.j, params.k, params.a, b, hash(params))
+    return out
+
+
+def _rsu_both_paths(params, ctx, oracle):
+    """(rsu_logs on ctx, rsu on the oracle as logs) at every x != 0 and y of F_{q^m}."""
+    for x in ctx.all_elements()[1:]:
+        for y in ctx.all_elements():
+            want = _rsu_outcome(rsu, params, oracle, _across(ctx, oracle, x), _across(ctx, oracle, y))
+            if isinstance(want, RSU):
+                want = tuple(ctx._log[_across(oracle, ctx, v)] for v in (want.R, want.S, want.u))
+            yield _rsu_outcome(rsu_logs, params, ctx, ctx._log[x], ctx._log[y]), want
+
+
+# the default grid has b = 0; (3, 1, 3, 1) has b = 1 and (2, 1, 4, 1) b = 2
+@pytest.mark.parametrize("tup", DEFAULT_GRID + ((3, 1, 3, 1), (2, 1, 4, 1)), ids=str)
+def test_rsu_logs_is_rsu(tup, monkeypatch):
+    # the same logs of R, S and u, or the same message, on every pair: the
+    # q^{m-1} successors of each x hold and every other y fails the
+    # recursion; under a wrong b the R relation fails on the curve, and with
+    # the constant a moved to a + 1 in both fields the S relation
+    params = TowerParams(*tup)
+    ((_, ctx, oracle),) = [f for f in _fields(tup) if f[1].d == params.m]
+    size = ctx.q**ctx.d
+    rational = (size - 1) * ctx.q ** (params.m - 1)
+
+    def outcomes(p):
+        seen = []
+        for got, want in _rsu_both_paths(p, ctx, oracle):
+            assert got == want
+            seen.append(got if isinstance(got, str) else "holds")
+        return {msg: seen.count(msg) for msg in set(seen)}
+
+    off_curve = {"(x, y) does not satisfy the F-recursion": (size - 1) * size - rational}
+    assert outcomes(params) == {"holds": rational, **off_curve}
+    assert outcomes(_with_b(params, params.b + 1))["R = tr_k(u) - b violated"] > 0
+    if params.a in (params.b, -params.b):  # moving a would move the R relation's b too
+        return
+    for f in (ctx, oracle):
+        monkeypatch.setattr(f, "scalar", functools.partial(lambda scalar, n: scalar(n + (n == params.a)), f.scalar))
+    assert outcomes(params) == {"S = -tr_j(u) + a violated": rational, **off_curve}
+
+
+# ---------------------------------------------------------------------------
+# theta's plan: its splitting degrees come before any suite computes
+
+
+def test_theta_ambient_past_cap_ends_run_first(capsys, monkeypatch):
+    # theta's ambient at (5, 1, 3, 1) is F_{5^12}, past the size cap; the run
+    # stops there, before lemma1_6 builds and tables F_{5^6}
+    built, cached = [], field._make_field_cached
+    monkeypatch.setattr(field, "_make_field_cached", lambda p, e, d, cap: built.append(d) or cached(p, e, d, cap))
+    monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "all", "--p", "5", "--m", "3", "--j", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "resource limit: p^(e*d) = 5^12 exceeds cap 67108864\n"
+    assert built and max(built) == 3
+
+
+def test_all_takes_each_theta_degree_once(monkeypatch):
+    calls, splitting = [], verify.splitting_degree
+    monkeypatch.setattr(verify, "splitting_degree", lambda f, t: calls.append(t) or splitting(f, t))
+    grid = ((2, 1, 2, 1), (2, 1, 3, 1), (3, 1, 3, 2))  # p divides k at (2, 1, 3, 1)
+    report = verify.run_suite("all", grid)
+    # three chains per tuple with p not dividing k, and roundtrip's k = 1 case
+    assert len(calls) == 3 * 2 + 1
+    assert report == [e for s in verify.SUITES for e in verify.run_suite(s, grid)]
