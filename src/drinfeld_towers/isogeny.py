@@ -5,21 +5,19 @@ identities tying them together; the twisted module Phi_T = phi_{F(T)} with
 its bracket-coefficient expansion; kernel spaces of composite isogenies; and
 the marked-point / round-trip checks behind the level-structure
 correspondence, both computed on subspace bases.  Over a tabled field,
-`phi_logs`, `lambda_logs`, the two identities and the trace relations of
-`towers.rsu` (`rsu_logs`) also come in exponent form, on the discrete log s
-of x.
+`phi_logs`, `lambda_logs` and the two identities also come in exponent form,
+on the discrete log s of x.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .drinfeld import APoly, DrinfeldModule, check_rank_pair, cyclic_module, module_from_point, monic_apolys, phi_a
+from .drinfeld import APoly, DrinfeldModule, check_rank_pair, module_from_point, monic_apolys, phi_a
 from .errors import (
     BracketMismatch,
     CharacteristicDividesK,
     NoMarkedPreimage,
     NotCyclic,
-    NotOnCurve,
     NotPrime,
     ZeroPoint,
 )
@@ -158,48 +156,6 @@ def intertwine_logs(ctx: FieldCtx, lam: list, phi_T: list, psi_T: list) -> bool:
     return ore_mul_logs(ctx, lam, phi_T) == ore_mul_logs(ctx, psi_T, lam)
 
 
-def _log_sum(ctx: FieldCtx, logs) -> int | None:
-    """The log of the sum of the g^t over logs t in [0, n), None standing for
-    zero: one Zech lookup per term, as in `ore.ore_mul_logs`."""
-    n, zech, acc = ctx._n, ctx._zech, None
-    for t in logs:
-        if t is None:
-            continue
-        if acc is None:
-            acc = t
-            continue
-        k = zech[t - acc]
-        acc = None if k is None else (acc + k) % n
-    return acc
-
-
-def rsu_logs(params: TowerParams, ctx: FieldCtx, s: int, t: int | None) -> tuple:
-    """`towers.rsu` at x = g^s and y = g^t (None for y = 0): the logs of R, S
-    and u, each relation checked in the same order and failing with the same
-    NotOnCurve message.  R = y/x^{q^k} and S = y^{q^j}/x are monomials, a
-    q-power multiplies a log by q^i, and the traces and u are Zech sums."""
-    n, qpow, d, log = ctx._n, ctx._qpow, ctx.d, ctx._log
-
-    def frob(v, i):
-        return None if v is None else v * qpow[i % d] % n
-
-    def trace(v, terms, step=1):  # sum of v^{q^{step i}} over i < terms
-        return _log_sum(ctx, [frob(v, step * i) for i in range(terms)])
-
-    j, k, a, b = params.j, params.k, params.a, params.b
-    R = None if t is None else (t - s * qpow[k % d]) % n
-    S = None if t is None else (t * qpow[j % d] - s) % n
-    if _log_sum(ctx, [trace(R, j), trace(S, k)]) != 0:  # log 1 = 0
-        raise NotOnCurve("(x, y) does not satisfy the F-recursion")
-    u = _log_sum(ctx, [trace(R, a, k), frob(trace(S, b, j), 1)])
-    if R != _log_sum(ctx, [trace(u, k), log[ctx.scalar(-b)]]):
-        raise NotOnCurve("R = tr_k(u) - b violated")
-    tr_j = trace(u, j)
-    if S != _log_sum(ctx, [None if tr_j is None else (tr_j + ctx._log_neg1) % n, log[ctx.scalar(a)]]):
-        raise NotOnCurve("S = -tr_j(u) + a violated")
-    return R, S, u
-
-
 def F_and_f(params: TowerParams, ctx: FieldCtx) -> tuple:
     """F(T) = 1 - (1 - T)^k = T*f(T); needs p not dividing k."""
     if not params.k_coprime_to_p:
@@ -330,19 +286,22 @@ def span_qk(params: TowerParams, ctx: FieldCtx, S) -> Subspace:
     return Subspace.from_vectors(ctx, [ctx.mul(w, s) for s in S for w in scalars])
 
 
-def _check_cyclic(phi: DrinfeldModule, G_n: Subspace, n: int) -> FieldElem:
-    """Return a generator u of G_n with annihilator exactly (T^n)."""
-    ctx = phi.ctx
-    T_pow = phi_a(phi, APoly.T(ctx) ** n)
-    T_pow_prev = phi_a(phi, APoly.T(ctx) ** (n - 1))
+def _check_cyclic(phi: DrinfeldModule, G_n: Subspace, n: int) -> None:
+    """Raise NotCyclic unless G_n is a cyclic F_q[T]-module with annihilator
+    exactly (T^n), checked on its basis: on a phi_T-stable G_n inside
+    Ker(phi_{T^n}), phi_T is nilpotent, and G_n of F_q-dimension n is cyclic
+    iff phi_{T^{n-1}} does not kill it."""
+    ctx, basis, T = phi.ctx, G_n.basis, APoly.T(phi.ctx)
     if G_n.dim != n:
         raise NotCyclic(f"expected F_q-dimension {n}, got {G_n.dim}")
-    for u in G_n.elements():
-        if evaluate(T_pow, u) != ctx.zero:
-            raise NotCyclic("subspace not contained in Ker(phi_{T^n})")
-        if evaluate(T_pow_prev, u) != ctx.zero and cyclic_module(phi, u) == G_n:
-            return u
-    raise NotCyclic("no cyclic generator found")
+    T_pow = phi_a(phi, T**n)
+    if any(evaluate(T_pow, b) != ctx.zero for b in basis):
+        raise NotCyclic("subspace not contained in Ker(phi_{T^n})")
+    phi_T, T_pow_prev = phi.phi_T(), phi_a(phi, T ** (n - 1))
+    if not all(G_n.contains(evaluate(phi_T, b)) for b in basis) or all(
+        evaluate(T_pow_prev, b) == ctx.zero for b in basis
+    ):
+        raise NotCyclic("no cyclic generator found")
 
 
 def check_roundtrip(params: TowerParams, phi: DrinfeldModule, G_n: Subspace, n: int) -> bool:

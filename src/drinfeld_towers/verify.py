@@ -13,18 +13,19 @@ limit hit inside a suite (a size cap, or memory) makes the CLI exit 3 with
 nothing on stdout.
 
 lemma1_6, thm1_7 and rsu's rational pairs sweep every nonzero x of a field,
-so they table it first (`_sweep`), and compute each case on discrete logs:
-the exponent forms of `isogeny` (`lemma_1_6_logs`, `intertwine_logs`,
-`rsu_logs`), whose products go through `ore.ore_mul_logs`.  thm1_7 and rsu
+so they table it first (`_sweep`).  lemma1_6 and thm1_7 compute each case on
+discrete logs: the exponent forms of `isogeny` (`lemma_1_6_logs`,
+`intertwine_logs`), whose products go through `ore.ore_mul_logs`; the object
+checks `verify_lemma_1_6` and `check_intertwine` are their test oracle, and
+`check_intertwine` still checks thm1_7's chain composites.  thm1_7 and rsu
 read their fiber pairs from the one cached successor relation
-(`towers._level_candidates`).  The object checks `verify_lemma_1_6`,
-`check_intertwine` and `towers.rsu` are their test oracle; `check_intertwine`
-still checks thm1_7's chain composites and `rsu` the random pairs of
-rsu_random, which are not swept.  theta and roundtrip sweep nothing: their
-checks solve over subspace bases in splitting ambients, whose degrees are
-closed-form (`ore.splitting_degree`).  `run_suite("all")` takes theta's
-degrees before any suite computes, so an ambient past the size cap ends the
-run first.
+(`towers._level_candidates`).  Both rsu entries call `towers.rsu`, whose
+field operations are table lookups on the swept F_{q^m}; rsu_random's
+F_{q^{2m}} is not swept, so it is tabled only below `field.LOG_CAP`.  theta
+and roundtrip sweep nothing: their checks solve over subspace bases in
+splitting ambients, whose degrees are closed-form (`ore.splitting_degree`).
+`run_suite("all")` takes theta's degrees before any suite computes, so an
+ambient past the size cap ends the run first.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .isogeny import (
     lambda_logs,
     lemma_1_6_logs,
     phi_logs,
-    rsu_logs,
 )
 from .ore import kernel, splitting_degree
 from .towers import _check_points_cap, _level_candidates, fiber_solutions, iter_rational, rsu
@@ -217,20 +217,19 @@ def suite_roundtrip(grid=DEFAULT_GRID, seed: int = 0) -> list:
 def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """Trace relations R = tr_k(u) - b, S = -tr_j(u) + a on rational and random pairs.
 
-    rsu and rsu_logs raise NotOnCurve when a relation fails, so a case passes
-    when it returns.  The rational pairs are each x of the swept F_{q^m} with
-    each of its cached successors, checked on discrete logs (`rsu_logs`)
-    after the level-2 points cap; the random pairs are not swept, and stay on
-    the coordinate path (`rsu`).
+    rsu raises NotOnCurve when a relation fails, so a case passes when it
+    returns.  The rational pairs are each x of the swept, tabled F_{q^m}
+    with each of its cached successors, after the level-2 points cap; the
+    random pairs in F_{q^{2m}} are not swept.
     """
     entries = []
     for tup in grid:
         params = TowerParams(*tup)
         ctx = params.field(params.m)
         _check_points_cap(params, "F", 2)
-        nonzero, log, successors = _sweep(ctx), ctx._log, _level_candidates(params, ctx, "F")
+        nonzero, successors = _sweep(ctx), _level_candidates(params, ctx, "F")
         pairs = ((x, y) for x in nonzero for y in successors(x))
-        cases = ((lambda: rsu_logs(params, ctx, log[x], log[y]), lambda: _listed(ctx, (x, y))) for x, y in pairs)
+        cases = ((lambda: rsu(params, ctx, x, y), lambda: _listed(ctx, (x, y))) for x, y in pairs)
         entries.append(_entry("rsu", params, params.m, cases))
 
         # random geometric solutions in the degree-2m ambient, seeded for determinism

@@ -358,10 +358,26 @@ def _span_by_listing(params, ctx, S):
     return Subspace.from_vectors(ctx, [ctx.mul(mu, s) for s in S for mu in ctx.subfield_elements(params.k)])
 
 
+def _cyclic_by_listing(phi, G_n, n):
+    """`_check_cyclic` by searching every element of G_n for a generator u
+    with annihilator exactly (T^n), which it returns."""
+    ctx = phi.ctx
+    T_pow = phi_a(phi, APoly.T(ctx) ** n)
+    T_pow_prev = phi_a(phi, APoly.T(ctx) ** (n - 1))
+    if G_n.dim != n:
+        raise NotCyclic(f"expected F_q-dimension {n}, got {G_n.dim}")
+    for u in G_n.elements():
+        if evaluate(T_pow, u) != ctx.zero:
+            raise NotCyclic("subspace not contained in Ker(phi_{T^n})")
+        if evaluate(T_pow_prev, u) != ctx.zero and cyclic_module(phi, u) == G_n:
+            return u
+    raise NotCyclic("no cyclic generator found")
+
+
 def _roundtrip_by_listing(params, phi, G_n, n):
     """`check_roundtrip` applying phi_{f(T)^n} to every element of E_n."""
     ctx = phi.ctx
-    _check_cyclic(phi, G_n, n)
+    _cyclic_by_listing(phi, G_n, n)
     _, f = F_and_f(params, ctx)
     f_pow = phi_a(phi, f**n)
     e_span = _span_by_listing(params, ctx, G_n.elements())
@@ -440,6 +456,28 @@ class TestBasisChecksMatchListing:
                     assert got == _outcome(_roundtrip_by_listing, params, phi, G, n), (params, mu, n)
                     outcomes.append(got if isinstance(got, bool) else got[0])
         assert {True, False, "NotCyclic"} <= set(outcomes)
+
+    def test_cyclic(self):
+        # every span of one to three vectors drawn from Ker(phi_T), from
+        # Ker(phi_{T^2}) outside it, and from outside Ker(phi_{T^2}); over
+        # F_{2^6}, phi_T = 1 + tau - tau^2 has 2- and 4-dimensional kernels
+        amb = P221.field(6)
+        phi = DrinfeldModule(amb, 2, 1, amb.one)
+        K1, K2 = kernel(phi.phi_T()), kernel(phi_a(phi, APoly.T(amb) ** 2))
+        assert (K1.dim, K2.dim) == (2, 4)
+        deep = [v for v in K2.elements() if not K1.contains(v)][:3]
+        outside = [v for v in amb.basis if not K2.contains(v)][:2]
+        pool = K1.basis + tuple(deep) + tuple(outside)
+        seen = set()
+        for r in (1, 2, 3):
+            for vectors in itertools.combinations(pool, r):
+                G = Subspace.from_vectors(amb, vectors)
+                stable = all(G.contains(evaluate(phi.phi_T(), b)) for b in G.basis)
+                for n in (1, 2, 3):
+                    got, want = _outcome(_check_cyclic, phi, G, n), _outcome(_cyclic_by_listing, phi, G, n)
+                    assert got == (None if isinstance(want[0], int) else want), (vectors, n)
+                    seen.add((got and got[1].split()[0], stable))
+        assert seen >= {(None, True), ("subspace", False), ("no", True), ("no", False), ("expected", True)}
 
     def test_span_on_scalar_basis(self):
         ctx = P331.field(8)

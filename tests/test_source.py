@@ -92,12 +92,57 @@ def test_config_echoes_only_declared_options(monkeypatch, command):
     assert set(echoed[0]) - set(options) <= {"command", "format", "seed", "size_cap"}
 
 
-@pytest.mark.parametrize("name", ["check_theta_marked_point", "check_roundtrip"])
+@pytest.mark.parametrize("name", ["check_theta_marked_point", "check_roundtrip", "_check_cyclic"])
 def test_level_structure_checks_list_nothing(name):
-    # both checks are linear algebra over a subspace's basis; listing E_n or
-    # a span costs q^dim where one solve or one echelon form answers
+    # the checks are linear algebra over a subspace's basis; listing E_n, G_n
+    # or a span costs q^dim where one solve or one echelon form answers
     tree = ast.parse((SRC / "isogeny.py").read_text())
     (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             assert not node.func.attr.endswith("elements"), f"{name} calls .{node.func.attr}() at line {node.lineno}"
+
+
+# functions and methods that only tests call, by module and qualified name.
+# Give one a caller in src/ or an entry in __all__, or move it to tests/ as
+# an oracle, and take it off; add none.
+TEST_ONLY = {
+    "drinfeld.APoly.eval_at_one",
+    "drinfeld.annihilator_order",
+    "drinfeld.find_isomorphism",
+    "drinfeld.torsion_kernel",
+    "field.FieldCtx.element",
+    "isogeny.bracket_coeffs",
+    "isogeny.check_lemma_2_9",
+    "isogeny.verify_lemma_1_6",
+    "ore.Subspace.cardinality",
+    "ore.TwistedPoly.tau",
+    "ore.point_derivation",
+    "towers.eval_F",
+    "towers.eval_G",
+    "towers.eval_H",
+    "towers.eval_H_cross",
+    "towers.galois_action",
+    "towers.ssing_u_set",
+}
+
+
+def test_src_functions_have_callers():
+    # a function that only tests call is code the program never runs
+    import drinfeld_towers
+
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.append((".".join((path.stem, *scope, node.name)), node.name))
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name not in scope:  # a def's reads of its own name are no caller
+                referenced.add(name)
+    exported = set(drinfeld_towers.__all__)
+    test_only = {
+        qualname
+        for qualname, name in defined
+        if name not in referenced and name not in exported and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert test_only == TEST_ONLY

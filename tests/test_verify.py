@@ -15,7 +15,7 @@ from drinfeld_towers.cli import main
 from drinfeld_towers.drinfeld import DrinfeldModule
 from drinfeld_towers.errors import NoMarkedPreimage, NotCyclic, NotOnCurve, SizeCapExceeded
 from drinfeld_towers.field import FieldCtx, make_field
-from drinfeld_towers.isogeny import TowerParams, check_intertwine, rsu_logs, verify_lemma_1_6
+from drinfeld_towers.isogeny import TowerParams, check_intertwine, verify_lemma_1_6
 from drinfeld_towers.ore import TwistedPoly, ore_mul, ore_mul_logs
 from drinfeld_towers.towers import RSU, fiber_solutions, rsu
 from drinfeld_towers.verify import DEFAULT_GRID, _random_fiber_pairs
@@ -61,15 +61,14 @@ def test_seeded_report_unchanged(command, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEEDED_SHA256[command]
 
 
-# the check each report entry's cases call, patched to raise, as (suite, entry
-# check, argv); theta and rsu run on one grid tuple, roundtrip on its fixed
-# cases.  The rsu suite checks its rational pairs on logs and its random pairs
-# on the coordinate path.
+# the check the cases of some report entries call, patched to raise, as
+# (suite, those entries' checks, argv); theta and rsu run on one grid tuple,
+# roundtrip on its fixed cases.  The rsu suite checks its rational and its
+# random pairs with the one `rsu`.
 RAISING_CHECKS = {
-    "rsu_logs": ("rsu", "rsu", ["--p", "2", "--m", "2", "--j", "1"]),
-    "rsu": ("rsu", "rsu_random", ["--p", "2", "--m", "2", "--j", "1"]),
-    "check_theta_marked_point": ("theta", "theta", ["--p", "2", "--m", "2", "--j", "1"]),
-    "check_roundtrip": ("roundtrip", "roundtrip", []),
+    "rsu": ("rsu", ("rsu", "rsu_random"), ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_theta_marked_point": ("theta", ("theta",), ["--p", "2", "--m", "2", "--j", "1"]),
+    "check_roundtrip": ("roundtrip", ("roundtrip",), []),
 }
 
 
@@ -94,7 +93,6 @@ def test_resource_limit_inside_suite_exits_3(target, exc, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "target, exc",
     [
-        ("rsu_logs", NotOnCurve),
         ("rsu", NotOnCurve),
         ("check_theta_marked_point", NoMarkedPreimage),
         ("check_roundtrip", NotCyclic),
@@ -103,13 +101,14 @@ def test_resource_limit_inside_suite_exits_3(target, exc, capsys, monkeypatch):
 def test_property_error_inside_suite_is_a_failure(target, exc, capsys, monkeypatch):
     # every case of the patched check's entries fails, and no other entry does
     monkeypatch.setattr(verify, target, _raise(exc("property fails")))
-    suite, check, params = RAISING_CHECKS[target]
+    suite, checks, params = RAISING_CHECKS[target]
     assert main(["verify", "--suite", suite, *params]) == 1
     report = json.loads(capsys.readouterr().out)["report"]
-    run = [e for e in report if e["check"] == check and not e.get("skipped")]
-    assert run and all(len(e["failures"]) == e["cases_run"] > 0 for e in run)
+    run = [e for e in report if e["check"] in checks and not e.get("skipped")]
+    assert {e["check"] for e in run} == set(checks)
+    assert all(len(e["failures"]) == e["cases_run"] > 0 for e in run)
     assert all(f.endswith(": property fails") for e in run for f in e["failures"])
-    assert all(e["failures"] == [] for e in report if e["check"] != check)
+    assert all(e["failures"] == [] for e in report if e["check"] not in checks)
 
 
 @pytest.mark.parametrize("target", sorted(RAISING_CHECKS))
@@ -305,7 +304,8 @@ def test_fiber_pairs_off_rational_catch_wrong_lambda(tup, failed, pairs):
 
 
 # ---------------------------------------------------------------------------
-# rsu on discrete logs, against the object path on an untabled field
+# rsu on a swept, tabled field, against rsu on the coordinate arithmetic of
+# an untabled one
 
 
 def _rsu_outcome(check, *args):
@@ -323,20 +323,20 @@ def _with_b(params, b):
     return out
 
 
-def _rsu_both_paths(params, ctx, oracle):
-    """(rsu_logs on ctx, rsu on the oracle as logs) at every x != 0 and y of F_{q^m}."""
+def _rsu_both_fields(params, ctx, oracle):
+    """(rsu on ctx, rsu on the oracle mapped back to ctx) at every x != 0 and y of F_{q^m}."""
     for x in ctx.all_elements()[1:]:
         for y in ctx.all_elements():
             want = _rsu_outcome(rsu, params, oracle, _across(ctx, oracle, x), _across(ctx, oracle, y))
             if isinstance(want, RSU):
-                want = tuple(ctx._log[_across(oracle, ctx, v)] for v in (want.R, want.S, want.u))
-            yield _rsu_outcome(rsu_logs, params, ctx, ctx._log[x], ctx._log[y]), want
+                want = RSU(*(_across(oracle, ctx, v) for v in (want.R, want.S, want.u)))
+            yield _rsu_outcome(rsu, params, ctx, x, y), want
 
 
 # the default grid has b = 0; (3, 1, 3, 1) has b = 1 and (2, 1, 4, 1) b = 2
 @pytest.mark.parametrize("tup", DEFAULT_GRID + ((3, 1, 3, 1), (2, 1, 4, 1)), ids=str)
-def test_rsu_logs_is_rsu(tup, monkeypatch):
-    # the same logs of R, S and u, or the same message, on every pair: the
+def test_rsu_on_tabled_field_is_rsu(tup, monkeypatch):
+    # the same R, S and u, or the same message, on every pair: the
     # q^{m-1} successors of each x hold and every other y fails the
     # recursion; under a wrong b the R relation fails on the curve, and with
     # the constant a moved to a + 1 in both fields the S relation
@@ -347,7 +347,7 @@ def test_rsu_logs_is_rsu(tup, monkeypatch):
 
     def outcomes(p):
         seen = []
-        for got, want in _rsu_both_paths(p, ctx, oracle):
+        for got, want in _rsu_both_fields(p, ctx, oracle):
             assert got == want
             seen.append(got if isinstance(got, str) else "holds")
         return {msg: seen.count(msg) for msg in set(seen)}
