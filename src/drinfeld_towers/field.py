@@ -400,6 +400,7 @@ class FieldCtx:
         ]
         self._subfield_cache: dict = {}  # m -> the elements of F_{q^m}
         self._subfield_bases: dict = {}  # m -> an F_q-basis of F_{q^m}
+        self._basis_frob = [self.basis]  # i -> (y^t)^{q^i} for each t, grown by `basis_frobenius`
         self._log = None  # element -> k with g^k = element (zero -> None), when q^d <= LOG_CAP
         if self.q**d <= LOG_CAP:
             self._build_logs()
@@ -623,6 +624,15 @@ class FieldCtx:
         for _ in range(i % self.d):
             x = combine(self.zero, x, rows)
         return x
+
+    def basis_frobenius(self, i: int) -> tuple:
+        """(y^t)^{q^i} for each basis power y^t, i mod d: the columns of the
+        i-th Frobenius power.  Each power is built once per field, one
+        Frobenius step from the one below it, so at most d^2 elements are kept."""
+        images = self._basis_frob
+        while len(images) <= i % self.d:
+            images.append(tuple(self.frobenius(u, 1) for u in images[-1]))
+        return images[i % self.d]
 
     def trace_partial(self, x: FieldElem, l: int) -> FieldElem:
         """tr_l(x) = sum of x^{q^i} for 0 <= i < l."""

@@ -189,10 +189,22 @@ def point_derivation(f: TwistedPoly) -> FieldElem:
 def linear_matrix(f: TwistedPoly):
     """d x d matrix over F_q of the q-linear map mu -> f(mu).
 
-    Column i holds the coordinates of f(y^i) in the basis {1, y, ..., y^{d-1}}.
+    Column t holds the coordinates of f(y^t) = sum g_i (y^t)^{q^i} in the
+    basis {1, y, ..., y^{d-1}}, summed from the field's cached basis images
+    (`FieldCtx.basis_frobenius`): no Frobenius per call, and no product
+    where g_i is 0 or 1.
     """
     ctx = f.ctx
-    return tuple(zip(*(evaluate(f, u) for u in ctx.basis)))
+    add, mul, one, zero = ctx.add, ctx.mul, ctx.one, ctx.zero
+    cols = [zero] * ctx.d
+    for i, g in enumerate(f.coeffs):
+        if g == zero:
+            continue
+        images = ctx.basis_frobenius(i)
+        if g != one:
+            images = [mul(g, v) for v in images]
+        cols = list(map(add, cols, images))
+    return tuple(zip(*cols))
 
 
 class Subspace(Value):

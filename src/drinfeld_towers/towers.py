@@ -37,17 +37,18 @@ def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> Fi
     """tr_j(y/x^{q^k}) + tr_k(y^{q^j}/x) - 1; requires x != 0."""
     if x == ctx.zero:
         raise ZeroDenominator("x = 0 in the F-recursion")
-    return _rs(params, ctx, x, y)[2]
+    return _recursion(params, ctx, *_rs(params, ctx, x, y))
 
 
 def _rs(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> tuple:
-    """R = y/x^{q^k}, S = y^{q^j}/x and the F-recursion tr_j(R) + tr_k(S) - 1
-    at (x, y); x != 0."""
-    j, k = params.j, params.k
+    """R = y/x^{q^k} and S = y^{q^j}/x at (x, y); x != 0."""
     x_inv = ctx.inv(x)
-    R = ctx.mul(y, ctx.frobenius(x_inv, k))
-    S = ctx.mul(ctx.frobenius(y, j), x_inv)
-    return R, S, ctx.sub(ctx.add(ctx.trace_partial(R, j), ctx.trace_partial(S, k)), ctx.one)
+    return ctx.mul(y, ctx.frobenius(x_inv, params.k)), ctx.mul(ctx.frobenius(y, params.j), x_inv)
+
+
+def _recursion(params: TowerParams, ctx: FieldCtx, R: FieldElem, S: FieldElem) -> FieldElem:
+    """The F-recursion tr_j(R) + tr_k(S) - 1 in the coordinates R, S."""
+    return ctx.sub(ctx.add(ctx.trace_partial(R, params.j), ctx.trace_partial(S, params.k)), ctx.one)
 
 
 def eval_G(params: TowerParams, ctx: FieldCtx, X: FieldElem, Y: FieldElem) -> FieldElem:
@@ -144,8 +145,10 @@ def _trace_hyperplane(ctx: FieldCtx, j: int, k: int, c: FieldElem, e: int) -> tu
 
 def _on_hyperplane(params: TowerParams, ctx: FieldCtx, x: FieldElem, n: int, e: int) -> list:
     """x^{q^k} t^e for each t on the hyperplane of c = x^n, in canonical order."""
-    xk = ctx.frobenius(x, params.k)
     ts = _trace_hyperplane(ctx, params.j, params.k, ctx.pow(x, n), e)
+    if not ts:
+        return []
+    xk = ctx.frobenius(x, params.k)
     return sorted((ctx.mul(xk, t) for t in ts), key=ctx.to_int)
 
 
@@ -308,14 +311,31 @@ class RSU(Value):
         self._assign(R, S, u)
 
 
-def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> RSU:
+def rsu(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem, relations=None) -> RSU:
     """R, S, u for a consecutive pair on the F-tower; verifies the F-recursion
-    and the trace relations."""
+    and the trace relations.
+
+    The F-recursion is tr_j(R) + tr_k(S) = 1 and u is a sum of q-powers of
+    R and S, so every check reads (R, S) alone (`rsu_relations`).  Over
+    F_{q^m} R is a point t of the hyperplane T_1 and S = t^{q^j}, so the
+    rational pairs meet only q^{m-1} distinct (R, S); a caller may pass
+    `relations`, a memo of `rsu_relations`, to run each check once.  The
+    verify suite keeps that memo for one report entry, so a field or params
+    patched after it never meets a stale answer; an exception is never
+    memoised, so a failing (R, S) fails on every pair that reaches it.
+    """
     if x == ctx.zero:
         raise ZeroPoint("rsu needs x != 0")
+    return (relations or rsu_relations)(params, ctx, *_rs(params, ctx, x, y))
+
+
+def rsu_relations(params: TowerParams, ctx: FieldCtx, R: FieldElem, S: FieldElem) -> RSU:
+    """R, S and u = sum_{r<a} R^{q^{rk}} + (sum_{s<b} S^{q^{sj}})^q, after
+    checking the F-recursion tr_j(R) + tr_k(S) = 1 and the trace relations
+    R = tr_k(u) - b and S = -tr_j(u) + a; raises NotOnCurve on the first
+    that fails."""
     j, k, a, b = params.j, params.k, params.a, params.b
-    R, S, f = _rs(params, ctx, x, y)
-    if f != ctx.zero:
+    if _recursion(params, ctx, R, S) != ctx.zero:
         raise NotOnCurve("(x, y) does not satisfy the F-recursion")
     acc = ctx.zero
     for r in range(a):

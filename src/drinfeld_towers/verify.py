@@ -21,7 +21,10 @@ checks `verify_lemma_1_6` and `check_intertwine` are their test oracle, and
 read their fiber pairs from the one cached successor relation
 (`towers._level_candidates`).  Both rsu entries call `towers.rsu`, whose
 field operations are table lookups on the swept F_{q^m}; rsu_random's
-F_{q^{2m}} is not swept, so it is tabled only below `field.LOG_CAP`.  theta
+F_{q^{2m}} is not swept, so it is tabled only below `field.LOG_CAP`.  Each
+case computes its own R and S, but the checks read (R, S) alone, which takes
+only q^{m-1} values on the rational pairs (see `towers.rsu`); so that entry
+memoises them, `towers.rsu_relations`, for its own length and no longer.  theta
 and roundtrip sweep nothing: their checks solve over subspace bases in
 splitting ambients, whose degrees are closed-form (`ore.splitting_degree`).
 `run_suite("all")` takes theta's degrees before any suite computes, so an
@@ -30,6 +33,7 @@ ambient past the size cap ends the run first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -47,7 +51,7 @@ from .isogeny import (
     phi_logs,
 )
 from .ore import kernel, splitting_degree
-from .towers import _check_points_cap, _level_candidates, fiber_solutions, iter_rational, rsu
+from .towers import _check_points_cap, _level_candidates, fiber_solutions, iter_rational, rsu, rsu_relations
 
 # (p, e, m, j) for q in {2, 3, 4, 5}; every tuple here has k = m - j = 1
 DEFAULT_GRID = (
@@ -229,7 +233,8 @@ def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
         _check_points_cap(params, "F", 2)
         nonzero, successors = _sweep(ctx), _level_candidates(params, ctx, "F")
         pairs = ((x, y) for x in nonzero for y in successors(x))
-        cases = ((lambda: rsu(params, ctx, x, y), lambda: _listed(ctx, (x, y))) for x, y in pairs)
+        relations = functools.cache(rsu_relations)  # this entry's memo, dropped with it
+        cases = ((lambda: rsu(params, ctx, x, y, relations), lambda: _listed(ctx, (x, y))) for x, y in pairs)
         entries.append(_entry("rsu", params, params.m, cases))
 
         # random geometric solutions in the degree-2m ambient, seeded for determinism

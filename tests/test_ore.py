@@ -152,6 +152,11 @@ class TestEvaluation:
         assert point_derivation(prod) == F4.mul(c, c2)
 
 
+def _matrix_by_evaluation(f):
+    """linear_matrix's oracle: column t is f evaluated at the basis vector y^t."""
+    return tuple(zip(*(evaluate(f, u) for u in f.ctx.basis)))
+
+
 class TestLinearAlgebraBridge:
     def test_matrix_of_identity(self):
         mat = linear_matrix(TwistedPoly.one(F4))
@@ -174,6 +179,8 @@ class TestLinearAlgebraBridge:
         from drinfeld_towers import field, linalg
 
         mf, mg, mfg = linear_matrix(f), linear_matrix(g), linear_matrix(ore_mul(f, g))
+        # ore_mul(f, g) reaches tau-degree 8 > d, so the cached images wrap mod d
+        assert (mf, mg, mfg) == tuple(map(_matrix_by_evaluation, (f, g, ore_mul(f, g))))
         d = F9.d
         prod = tuple(
             tuple(
@@ -188,6 +195,24 @@ class TestLinearAlgebraBridge:
             for r in range(d)
         )
         assert prod == mfg
+
+
+    # a tabled F_{q^m} (F_{4^3}, swept by verify) and the coordinate F_{4^6}
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 6)], ids=str)
+    def test_matrix_is_evaluation_at_basis(self, dims):
+        # coefficients drawn among 0, 1 and random elements, as in the
+        # hyperplane polynomials whose first j coefficients are 1, up to
+        # tau-degree 2d + 1
+        ctx = make_field(*dims)
+        rng = random.Random(str(dims))
+        for _ in range(20):
+            coeffs = [rng.choice((ctx.zero, ctx.one, ctx.from_int(rng.randrange(ctx.q**ctx.d))))
+                      for _ in range(rng.randrange(2 * ctx.d + 2))]
+            f = TwistedPoly(ctx, coeffs)
+            assert linear_matrix(f) == _matrix_by_evaluation(f)
+        assert (ctx._log is None) == (dims == (2, 2, 6))
+        assert len(ctx._basis_frob) == ctx.d  # one image of the basis per power mod d
+        assert ctx.basis_frobenius(ctx.d + 1) == tuple(ctx.frobenius(u, 1) for u in ctx.basis)
 
 
 class TestKernels:

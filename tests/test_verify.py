@@ -357,9 +357,13 @@ def test_rsu_on_tabled_field_is_rsu(tup, monkeypatch):
     assert outcomes(_with_b(params, params.b + 1))["R = tr_k(u) - b violated"] > 0
     if params.a in (params.b, -params.b):  # moving a would move the R relation's b too
         return
+    held = verify.suite_rsu((tup,))[0]
     for f in (ctx, oracle):
         monkeypatch.setattr(f, "scalar", functools.partial(lambda scalar, n: scalar(n + (n == params.a)), f.scalar))
     assert outcomes(params) == {"S = -tr_j(u) + a violated": rational, **off_curve}
+    # the suite's (R, S) memo lives for one entry, so the rerun checks anew
+    moved = verify.suite_rsu((tup,))[0]
+    assert held["failures"] == [] and held["cases_run"] == moved["cases_run"] == len(moved["failures"]) == rational
 
 
 # ---------------------------------------------------------------------------
