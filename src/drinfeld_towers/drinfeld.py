@@ -11,7 +11,7 @@ import math
 
 from .errors import AmbientTooSmall, BadRankPair, NotCyclic, NotFoundWithinBound, ZeroPoint
 from .field import FieldCtx, FieldElem, _poly_from_index, embed, poly_add, poly_divmod, poly_mul, poly_sub, poly_trim
-from .ore import Subspace, TwistedPoly, evaluate, kernel, ore_add, ore_mul
+from .ore import Subspace, TwistedPoly, evaluate, ore_add, ore_mul
 from .value import Value
 
 
@@ -209,10 +209,6 @@ def module_from_point(ctx: FieldCtx, m: int, j: int, x: FieldElem) -> DrinfeldMo
     head = ctx.mul(ctx.frobenius(x, m), x_inv_qj)
     tail = ctx.mul(x, x_inv_qj)
     return DrinfeldModule(ctx, m, j, ctx.sub(head, tail))
-
-
-def torsion_kernel(phi: DrinfeldModule, a: APoly) -> Subspace:
-    return kernel(phi_a(phi, a))
 
 
 def annihilator_order(phi: DrinfeldModule, mu: FieldElem, bound: int) -> APoly:

@@ -7,28 +7,27 @@ which is what the linear algebra downstream works with.
 
 For e > 1, F_q is itself a field of this module, `FieldCtx(p, 1, e)`, whose
 `to_int` is the base-p digit packing, so for p = 2 a sum of packed ints is
-their XOR.  An F_{2^e} of at most `LOG_CAP` elements multiplies on int copies
-of that field's log and antilog tables; any other F_q computes each of that
-field's remaining operations once per argument tuple (see `_BaseOps`).
-Inverses outside the tables come from the one extended Euclid, `poly_inv_mod`.
+their XOR.  Inverses outside the tables below come from the one extended
+Euclid, `poly_inv_mod`, once per element.
 
-A field with at most `LOG_CAP` elements gets discrete-log tables for a
-primitive element g, in the small-field design of FLINT's `fq_zech`: with
-exp[k] = g^k, log = exp^{-1} (zero maps to None) and the Zech logarithms
-zech[k] = log(1 + g^k), every operation is one lookup, addition included,
-since g^a + g^b = g^{a + zech[b - a]} (Huber, "Some comments on Zech's
-logarithms", IEEE Trans. IT 1990).  The `FieldCtx` methods are the
-coordinate arithmetic.  `_build_logs` builds the tables with them and then
-binds its lookups on the instance under the names `add`, `neg`, `mul`,
-`inv`, `pow` and `frobenius`, so each field chooses its arithmetic once, at
-construction, and the class methods stay the tables' test oracle.  A
-product's fold of y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples
-of sparse rows, in the one loop `_BaseOps.combine`.  The cap is low because
-tables cost memory and build time that few operations repay.  Work known to
-touch every element is the exception: a sweep lists its field, which holds it
-to ENUMERATION_CAP, and then calls `_build_logs` on it whatever the cap (see
-`verify`).  The build keeps zech, n = q^d - 1, log(-1) and q^i mod n on the
-instance for exponent arithmetic (`ore.ore_mul_logs`).
+A field gets discrete-log tables for a primitive element g when it is listed
+whole, and not before: `subfield_elements` builds them before it lists the
+field, so the listing itself runs on lookups.  This is the small-field design
+of FLINT's `fq_zech`: with exp[k] = g^k, log = exp^{-1} (zero maps to None)
+and the Zech logarithms zech[k] = log(1 + g^k), every operation is one
+lookup, addition included, since g^a + g^b = g^{a + zech[b - a]} (Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 1990).  Work that lists
+a field is Theta(q^d), about the cost of the build, so the tables are bought
+exactly where they repay it, and a field that nothing lists stays on the
+coordinate arithmetic of the `FieldCtx` methods.  `_build_logs` builds the
+tables with those methods and then binds its lookups on the instance under
+the names `add`, `neg`, `mul`, `inv`, `pow` and `frobenius`, so the class
+methods stay the tables' test oracle.  The build keeps zech, n = q^d - 1,
+log(-1) and q^i mod n on the instance for exponent arithmetic
+(`ore.ore_mul_logs`).  A base field F_q with e > 1 follows the same rule:
+`_BaseOps` lists it whenever it can be listed.  A product's fold of
+y^{d+i}, a Frobenius step and `embed` each sum F_q-multiples of sparse rows,
+in the one loop `_BaseOps.combine`.
 
 All contexts are canonical: both moduli are the least monic irreducibles of
 their degree (coefficient sequences compared as base-q / base-p integers), so
@@ -39,6 +38,7 @@ so it picks the same moduli as trial division with far fewer divisions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import operator
 import os
@@ -56,7 +56,6 @@ from .errors import (
 FieldElem = tuple  # length-d tuple of base ints; alias for readability
 
 DEFAULT_SIZE_CAP = 2**26
-LOG_CAP = 2**10  # largest field that gets discrete-log and Zech tables
 ENUMERATION_CAP = 2**16  # largest field `subfield_elements` lists
 
 
@@ -259,13 +258,14 @@ class _BaseOps:
     With e = 1 the five operations are the F_p methods below.  With e > 1,
     F_q is the field `FieldCtx(p, 1, e)`: h is its modulus and the packing
     is its `to_int` (value = sum(digit_i * p^i) over the coefficients of
-    x^i).  __init__ replaces the five operations:
+    x^i).  __init__ lists that field when it can be listed, which tables it
+    (the module's one table rule), and replaces the five operations:
     - for every F_{2^e}, add and sub by XOR of the packed digits and neg by
       the identity;
-    - for p = 2 and q <= LOG_CAP, mul and inv by int lookups read off that
-      field's tables.  With n = q - 1 and its primitive g, exp[k] =
-      g^(k mod n) below 2n and 0 from 2n to 4n, and log = exp^{-1} with
-      log 0 = 2n, so a b = exp[log a + log b] needs no test for zero;
+    - for a tabled F_{2^e}, mul and inv by int lookups read off its tables.
+      With n = q - 1 and its primitive g, exp[k] = g^(k mod n) below 2n and
+      0 from 2n to 4n, and log = exp^{-1} with log 0 = 2n, so a b =
+      exp[log a + log b] needs no test for zero;
     - otherwise by that field's operation, computed once per argument tuple.
     """
 
@@ -276,9 +276,11 @@ class _BaseOps:
         if e == 1:
             self.modulus = (0, 1)  # x, the least monic of degree 1
             return
-        f = FieldCtx(p, 1, e)  # a fresh build, so a patched LOG_CAP applies
+        f = FieldCtx(p, 1, e)
         self.modulus = f.ext_modulus
         self._unpack, self._pack = f.from_int, f.to_int
+        with contextlib.suppress(SizeCapExceeded):
+            f.all_elements()  # tables F_q, so the operations read below are lookups
         names = ("add", "sub", "neg", "mul", "inv")
         if p == 2:  # digits add mod 2, so a sum of packed ints is their XOR
             self.add = self.sub = operator.xor
@@ -401,11 +403,8 @@ class FieldCtx:
         self._subfield_cache: dict = {}  # m -> the elements of F_{q^m}
         self._subfield_bases: dict = {}  # m -> an F_q-basis of F_{q^m}
         self._basis_frob = [self.basis]  # i -> (y^t)^{q^i} for each t, grown by `basis_frobenius`
-        self._log = None  # element -> k with g^k = element (zero -> None), when q^d <= LOG_CAP
-        if self.q**d <= LOG_CAP:
-            self._build_logs()
-        else:
-            self.inv = functools.cache(self.inv)  # one extended Euclid per element
+        self._log = None  # element -> k with g^k = element (zero -> None), once listed
+        self.inv = functools.cache(self.inv)  # one extended Euclid per element, until tabled
 
     def _build_logs(self) -> None:
         """exp[k] = g^k, log = exp^{-1} with zero -> None, and zech[k] = log(1 + g^k);
@@ -494,7 +493,8 @@ class FieldCtx:
     def _frob_y(self) -> list:
         """(y^t)^q for each basis power; coefficients live in F_q and are fixed
         by x -> x^q, so the q-Frobenius is F_q-linear in the coordinates.
-        Built on first use, so a tabled field builds it only for an oracle."""
+        Built on first use, so a field listed before its first Frobenius builds
+        it only for an oracle."""
         return [_sparse(FieldCtx.pow(self, u, self.q)) for u in self.basis]
 
     # -- representation helpers ------------------------------------------------
@@ -655,11 +655,14 @@ class FieldCtx:
         This is the one place that lists a whole field, so it alone reads
         ENUMERATION_CAP and refuses a field of more elements.  Counts that
         list nothing (F and G level sizes) answer to the size cap alone.
+        With m = d it tables the field first (see the module docstring).
         """
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
         if self.q**m > ENUMERATION_CAP:
             raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
+        if m == self.d and self._log is None:
+            self._build_logs()
         cached = self._subfield_cache.get(m)
         if cached is None:
             cached = self._subfield_cache[m] = tuple(self.span_elements(self.subfield_basis(m)))

@@ -266,36 +266,22 @@ def count_affine(f: TwistedPoly, c: FieldElem) -> int:
     return 0 if sol is None else f.ctx.q ** len(sol[1])
 
 
-def splitting_degree(f: TwistedPoly, target_dim: int) -> int:
-    """Least multiple D of the ambient degree at which Ker(f) reaches target_dim.
+def splitting_degree(f: TwistedPoly) -> int:
+    """Least multiple D of the ambient degree at which Ker(f) is whole, of
+    dimension f's tau-degree.
 
     Requires a nonzero constant coefficient (so f is separable and the kernel
-    stops growing once full).  For the full kernel, target_dim = f's
-    tau-degree, D = d ord(B) in closed form (`_frobenius_order`), confirmed
-    by one kernel at F_{q^D}; any other target_dim is searched for, one
-    ambient per multiple of d.  Either way raises SizeCapExceeded once the
-    next ambient would outgrow the field size cap.
+    stops growing once full).  D = d ord(B) in closed form
+    (`_frobenius_order`), confirmed by one kernel at F_{q^D}; raises
+    SizeCapExceeded once the next ambient would outgrow the field size cap.
     """
     ctx = f.ctx
     if f.is_zero() or f.coeff(0) == ctx.zero:
         raise ValueError("splitting_degree needs a nonzero constant coefficient")
-    if target_dim != f.tau_degree:
-        return _splitting_search(f, target_dim)
     D = ctx.d * _frobenius_order(f)
-    if kernel(f.map_to(make_field(ctx.p, ctx.e, D))).dim != target_dim:
+    if kernel(f.map_to(make_field(ctx.p, ctx.e, D))).dim != f.tau_degree:
         raise ArithmeticError(f"Ker(f) is not split at the closed-form degree {D}")
     return D
-
-
-def _splitting_search(f: TwistedPoly, target_dim: int) -> int:
-    """`splitting_degree` by trying the ambients F_{q^d}, F_{q^{2d}}, ... in turn."""
-    ctx = f.ctx
-    D = ctx.d
-    while True:
-        amb = make_field(ctx.p, ctx.e, D)
-        if kernel(f.map_to(amb)).dim == target_dim:
-            return D
-        D += ctx.d
 
 
 def _frobenius_order(f: TwistedPoly) -> int:

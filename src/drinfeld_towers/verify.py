@@ -13,19 +13,20 @@ limit hit inside a suite (a size cap, or memory) makes the CLI exit 3 with
 nothing on stdout.
 
 lemma1_6, thm1_7 and rsu's rational pairs sweep every nonzero x of a field,
-so they table it first (`_sweep`).  lemma1_6 and thm1_7 compute each case on
-discrete logs: the exponent forms of `isogeny` (`lemma_1_6_logs`,
-`intertwine_logs`), whose products go through `ore.ore_mul_logs`; the object
-checks `verify_lemma_1_6` and `check_intertwine` are their test oracle, and
-`check_intertwine` still checks thm1_7's chain composites.  thm1_7 and rsu
-read their fiber pairs from the one cached successor relation
-(`towers._level_candidates`).  Both rsu entries call `towers.rsu`, whose
-field operations are table lookups on the swept F_{q^m}; rsu_random's
-F_{q^{2m}} is not swept, so it is tabled only below `field.LOG_CAP`.  Each
+and listing a field tables it (see `field`).  lemma1_6 and thm1_7 compute
+each case on discrete logs: the exponent forms of `isogeny`
+(`lemma_1_6_logs`, `intertwine_logs`), whose products go through
+`ore.ore_mul_logs`; the object checks `verify_lemma_1_6` and
+`check_intertwine` are their test oracle, and `check_intertwine` still
+checks thm1_7's chain composites.  thm1_7 and rsu read their fiber pairs
+from the one cached successor relation (`towers._level_candidates`).  Both
+rsu entries call `towers.rsu`, whose field operations are table lookups on
+the swept F_{q^m}; rsu_random lists nothing of its F_{q^{2m}}, so it runs on
+lookups only where another suite (lemma1_6) has listed that field.  Each
 case computes its own R and S, but the checks read (R, S) alone, which takes
 only q^{m-1} values on the rational pairs (see `towers.rsu`); so that entry
-memoises them, `towers.rsu_relations`, for its own length and no longer.  theta
-and roundtrip sweep nothing: their checks solve over subspace bases in
+memoises them, `towers.rsu_relations`, for its own length and no longer.
+theta and roundtrip sweep nothing: their checks solve over subspace bases in
 splitting ambients, whose degrees are closed-form (`ore.splitting_degree`).
 `run_suite("all")` takes theta's degrees before any suite computes, so an
 ambient past the size cap ends the run first.
@@ -105,19 +106,6 @@ def _listed(ctx, coords) -> str:
     return str([ctx.format_elem(c) for c in coords])
 
 
-def _sweep(ctx) -> list:
-    """The nonzero elements of ctx in canonical order, with ctx tabled.
-
-    A sweep's Theta(q^d) work is known before it starts, and a build of the
-    log tables costs about as much, so the tables are bought at once.  The
-    listing comes first, so a field above ENUMERATION_CAP is refused before
-    any build."""
-    elements = ctx.all_elements()
-    if ctx._log is None:
-        ctx._build_logs()
-    return elements[1:]  # zero is from_int(0), listed first
-
-
 def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
     """eta_x phi^x_T = Q_x lambda_x for every nonzero x, in F_{q^m} and
     F_{q^{2m}}, on discrete logs (`lemma_1_6_logs`)."""
@@ -126,14 +114,14 @@ def suite_lemma1_6(grid=DEFAULT_GRID, seed: int = 0) -> list:
         params = TowerParams(*tup)
         for deg in (params.m, 2 * params.m):
             ctx = params.field(deg)
-            nonzero, log = _sweep(ctx), ctx._log
+            nonzero, log = ctx.all_elements()[1:], ctx._log  # zero is listed first
             cases = ((lambda: lemma_1_6_logs(params, ctx, log[x]), lambda: _named(ctx, x=x)) for x in nonzero)
             entries.append(_entry("lemma1_6", params, deg, cases))
     return entries
 
 
 def _thm1_7_cases(params: TowerParams, ctx):
-    nonzero, log, successors = _sweep(ctx), ctx._log, _level_candidates(params, ctx, "F")
+    nonzero, log, successors = ctx.all_elements()[1:], ctx._log, _level_candidates(params, ctx, "F")
     for x in nonzero:
         lam, phi_x = lambda_logs(params, ctx, log[x]), phi_logs(params, ctx, log[x])
         for y in successors(x):
@@ -166,7 +154,7 @@ def _theta_plan(tup: tuple) -> tuple:
     ctx = params.field(params.m)
     points = itertools.islice(iter_rational(params, 2, "F"), 3)
     chains = [XChain(params, ctx, pt.coords) for pt in points]
-    return params, chains, [splitting_degree(chain.composite(), 2 * params.k) for chain in chains]
+    return params, chains, [splitting_degree(chain.composite()) for chain in chains]
 
 
 def suite_theta(grid=DEFAULT_GRID, seed: int = 0, plans=None) -> list:
@@ -202,7 +190,7 @@ def suite_roundtrip(grid=DEFAULT_GRID, seed: int = 0) -> list:
     params = TowerParams(2, 1, 3, 2)
     ctx = params.field(params.m)
     phi = params.module_at(ctx, ctx.one)
-    deg = splitting_degree(phi.phi_T(), params.m)
+    deg = splitting_degree(phi.phi_T())
     collapse = (params, phi.map_to(params.field(deg)), deg, slice(1, 4))
 
     entries = []
@@ -231,7 +219,7 @@ def suite_rsu(grid=DEFAULT_GRID, seed: int = 0) -> list:
         params = TowerParams(*tup)
         ctx = params.field(params.m)
         _check_points_cap(params, "F", 2)
-        nonzero, successors = _sweep(ctx), _level_candidates(params, ctx, "F")
+        nonzero, successors = ctx.all_elements()[1:], _level_candidates(params, ctx, "F")
         pairs = ((x, y) for x in nonzero for y in successors(x))
         relations = functools.cache(rsu_relations)  # this entry's memo, dropped with it
         cases = ((lambda: rsu(params, ctx, x, y, relations), lambda: _listed(ctx, (x, y))) for x, y in pairs)

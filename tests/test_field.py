@@ -260,9 +260,8 @@ class TestArithmetic:
         calls = []
         inv_mod = field.poly_inv_mod
         monkeypatch.setattr(field, "poly_inv_mod", lambda *a: calls.append(a) or inv_mod(*a))
-        nonzero = [x for x in ctx.all_elements() if x != ctx.zero]
         for _ in range(2):
-            for x in nonzero:
+            for x in _unlisted_elements(ctx)[1:]:
                 ctx.inv(x)
         for _ in range(2):
             with pytest.raises(DivisionByZero):
@@ -270,12 +269,15 @@ class TestArithmetic:
         return len(calls)
 
     def test_inverse_once_per_element(self, monkeypatch):
-        # a fresh context above LOG_CAP, so no other test has warmed its cache
+        # a fresh context that nothing lists, so it is untabled and no other
+        # test has warmed its cache
         ctx = FieldCtx(2, 1, 11)
         assert self._count_euclids(monkeypatch, ctx) == ctx.q**ctx.d - 1
 
     def test_logged_inverse_needs_no_euclid(self, monkeypatch):
-        assert self._count_euclids(monkeypatch, FieldCtx(3, 1, 3)) == 0
+        ctx = FieldCtx(3, 1, 3)
+        ctx.all_elements()  # tables ctx
+        assert self._count_euclids(monkeypatch, ctx) == 0
 
     def test_fermat(self):
         ctx = make_field(2, 1, 4)
@@ -322,12 +324,14 @@ class TestArithmetic:
         return counts
 
     def test_pow_of_two_power_only_squares(self, monkeypatch):
-        # F_{4^6} is above LOG_CAP; a fresh build, since a verify sweep tables
-        # the cached one
+        # a fresh F_{4^6}, untabled since nothing lists it, while a verify
+        # sweep lists and tables the cached one
         assert self._pow_two_power_muls(monkeypatch, FieldCtx(2, 2, 6)) == list(range(7))
 
     def test_logged_pow_needs_no_multiply(self, monkeypatch):
-        assert self._pow_two_power_muls(monkeypatch, make_field(2, 2, 3)) == [0] * 7
+        ctx = FieldCtx(2, 2, 3)
+        ctx.all_elements()  # tables ctx
+        assert self._pow_two_power_muls(monkeypatch, ctx) == [0] * 7
 
 
 def _digits(a, p, e):
@@ -362,7 +366,8 @@ class TestBaseField:
 
     @pytest.mark.parametrize("p,e", [(2, 3), (2, 4)])
     def test_cached_formulas_match_digit_oracle(self, monkeypatch, p, e):
-        monkeypatch.setattr(field, "LOG_CAP", 0)
+        # F_q above the listing cap is not listed, so not tabled
+        monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
         ops = _BaseOps(p, e)
         assert not _base_tabled(ops)
         assert ops.add is ops.sub is operator.xor  # XOR with or without tables
@@ -396,6 +401,18 @@ class TestBaseField:
                 ops.inv(0)
 
     def test_digit_work_once_per_argument_tuple(self, monkeypatch):
+        # listed, so on tables: F_{q^d} and F_q
+        self._digit_work(monkeypatch, listed=True)
+
+    def test_digit_work_once_per_argument_tuple_without_tables(self, monkeypatch):
+        # the same bound with every table off: nothing lists the extension
+        # fields, so they run on coordinates, and the listing cap is lowered
+        # below every F_q, so that F_{2^e} too runs on its cached operations
+        monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
+        self._digit_work(monkeypatch, listed=False)
+
+    @staticmethod
+    def _digit_work(monkeypatch, listed):
         # the work of F_q's operations is done in the field F_{p^e}, which
         # unpacks every int argument with its from_int
         calls = []
@@ -407,13 +424,14 @@ class TestBaseField:
 
         monkeypatch.setattr(FieldCtx, "from_int", counting_from_int)
         # fresh contexts, so no other test has warmed their caches, counted
-        # from their build, where a tabled F_{q^d} makes all its F_q calls;
+        # from their build, where a listed F_{q^d} makes all its F_q calls;
         # for p = 2 add and sub are XOR, so F_{9^2} is the one whose
         # add/sub/neg use F_q
         for p, e, d in ((2, 2, 3), (3, 2, 2)):
             calls.clear()
             ctx = FieldCtx(p, e, d)
-            els = ctx.all_elements()
+            els = ctx.all_elements() if listed else [from_int(ctx, v) for v in range(ctx.q**d)]
+            assert (ctx._log is not None) == listed
             for _ in range(2):
                 for x in els:
                     for y in els:
@@ -429,22 +447,16 @@ class TestBaseField:
             assert unpacks <= 2 * 5 * ctx.q**2
             assert unpacks > 0 or _base_tabled(ctx._bops)
 
-    def test_digit_work_once_per_argument_tuple_without_tables(self, monkeypatch):
-        # the same bound with every table off, so that F_{2^e} too runs on
-        # its cached operations and the extension fields on coordinates
-        monkeypatch.setattr(field, "LOG_CAP", 0)
-        self.test_digit_work_once_per_argument_tuple(monkeypatch)
-
 
 class TestAddition:
     """add/sub/neg against the per-coordinate F_q operations, on the Zech table
-    path and, with LOG_CAP patched to 0, on the coordinate path."""
+    path of a listed field and on the coordinate path of one that nothing lists."""
 
     @staticmethod
     def _ctx(monkeypatch, p, e, d, tabled):
-        if not tabled:
-            monkeypatch.setattr(field, "LOG_CAP", 0)
-        ctx = FieldCtx(p, e, d)  # a fresh build, so the patched cap applies
+        ctx = FieldCtx(p, e, d)  # a fresh build, untabled until listed
+        if tabled:
+            ctx.all_elements()
         assert (ctx._log is not None) == tabled
         return ctx
 
@@ -468,7 +480,7 @@ class TestAddition:
         self._every_pair(self._ctx(monkeypatch, p, e, d, False))
 
     def _every_pair(self, ctx):
-        els = ctx.all_elements()
+        els = _unlisted_elements(ctx)
         for x in els:
             for y in els:
                 self._check(ctx, x, y)
@@ -480,7 +492,7 @@ class TestAddition:
         ctx = self._ctx(monkeypatch, p, e, d, tabled)
         zero = ctx.zero
         assert ctx.add(zero, zero) == ctx.sub(zero, zero) == ctx.neg(zero) == zero
-        for x in ctx.all_elements():
+        for x in _unlisted_elements(ctx):
             assert ctx.add(x, ctx.neg(x)) == ctx.add(ctx.neg(x), x) == zero
             assert ctx.sub(x, x) == zero
             assert ctx.add(x, zero) == ctx.add(zero, x) == ctx.sub(x, zero) == x
@@ -556,16 +568,17 @@ class TestFrobenius:
 class TestNonPrimeBaseCoordinates:
     """The coordinate path over F_q with e > 1: `FieldCtx.mul` against
     poly_mod(poly_mul(...)) and `FieldCtx.frobenius(x, i)` against
-    `FieldCtx.pow(x, q^i)`, with F_q on tables (LOG_CAP patched to q) and on
-    its cached operations (LOG_CAP patched to 0).  Only F_{2^e} has tables."""
+    `FieldCtx.pow(x, q^i)`, with F_q on tables (listed) and on its cached
+    operations (the listing cap lowered below q).  Only F_{2^e} has int tables."""
 
     @pytest.mark.parametrize(
         "p,e,d,base_tables",
         [(2, 2, 6, True), (2, 3, 3, True), (2, 2, 6, False), (2, 3, 3, False), (3, 2, 3, False), (5, 2, 2, False)],
     )
     def test_against_oracles(self, monkeypatch, p, e, d, base_tables):
-        monkeypatch.setattr(field, "LOG_CAP", p**e if base_tables else 0)
-        ctx = FieldCtx(p, e, d)  # a fresh build, so the patched cap applies
+        if not base_tables:
+            monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
+        ctx = FieldCtx(p, e, d)  # a fresh build that nothing lists
         assert ctx._log is None and _base_tabled(ctx._bops) == base_tables
         rng = random.Random(5)
         size = ctx.q**d
@@ -579,8 +592,9 @@ class TestNonPrimeBaseCoordinates:
                 assert FieldCtx.frobenius(ctx, x, i) == FieldCtx.pow(ctx, x, ctx.q**i)
 
     def test_f4_base_on_tables(self):
-        # F_{4^6} is above LOG_CAP and F_4 is not: the coordinate loops run
-        # on F_4's log/antilog lookups and XOR, not on the cached operations
+        # F_4 is listed, and so tabled, with any field over it; the
+        # coordinate loops of an F_{4^6} that nothing lists run on F_4's
+        # log/antilog lookups and XOR, not on the cached operations
         ops = make_field(2, 2, 6)._bops
         assert _base_tabled(ops)
         assert not any(hasattr(getattr(ops, name), "cache_info") for name in ("add", "sub", "neg", "mul", "inv"))
@@ -590,12 +604,12 @@ class TestCombine:
     """`_BaseOps.combine` against a per-term sum of F_q's add and mul."""
 
     # F_3 and F_17 sum past p before their one reduction; F_4 on tables;
-    # F_8 with LOG_CAP patched to 0 adds by XOR and multiplies by a cached
-    # operation; F_9 runs on cached operations
+    # F_8 with ENUMERATION_CAP patched to 0 is not listed, so it adds by XOR
+    # and multiplies by a cached operation; F_9 runs on cached operations
     @pytest.mark.parametrize("p,e,cap", [(3, 1, None), (17, 1, None), (2, 2, None), (2, 3, 0), (3, 2, 0)])
     def test_matches_per_term_sum(self, monkeypatch, p, e, cap):
         if cap is not None:
-            monkeypatch.setattr(field, "LOG_CAP", cap)
+            monkeypatch.setattr(field, "ENUMERATION_CAP", cap)
         ops = _BaseOps(p, e)
         q, n = ops.size, 5
         rng = random.Random(7)
@@ -611,6 +625,21 @@ class TestCombine:
                 for t, r in row:
                     want[t] = ops.add(want[t], ops.mul(c, r))
             assert ops.combine(acc, coeffs, rows) == tuple(want)
+
+
+def _unlisted_elements(ctx) -> list:
+    """The elements of ctx in canonical order, listing nothing, so an
+    untabled ctx stays untabled."""
+    return [ctx.from_int(v) for v in range(ctx.q**ctx.d)]
+
+
+def _clear_caches():
+    """Drop every cached field and what is cached on them, so the next
+    command builds its fields anew."""
+    field._make_field_cached.cache_clear()
+    field._embed_cache.clear()
+    towers._level_candidates.cache_clear()
+    towers._trace_hyperplane.cache_clear()
 
 
 def _base_tabled(ops):
@@ -665,12 +694,12 @@ class TestLogTables:
         assert ctx.pow(ctx.zero, 5) == ctx.zero
 
     def test_largest_logged_field(self):
-        ctx = make_field(2, 1, 10)
-        assert field.LOG_CAP == 2**10
+        # the largest field that can be listed, and so tabled
+        ctx = FieldCtx(2, 1, 16)
         _check_log_keys(ctx, ctx.all_elements())
         rng = random.Random(1)
         for _ in range(2000):
-            x, y = ctx.from_int(rng.randrange(2**10)), ctx.from_int(rng.randrange(2**10))
+            x, y = ctx.from_int(rng.randrange(2**16)), ctx.from_int(rng.randrange(2**16))
             assert ctx.mul(x, y) == FieldCtx.mul(ctx, x, y)
             i = rng.randrange(ctx.d)
             assert ctx.frobenius(x, i) == FieldCtx.frobenius(ctx, x, i)
@@ -688,6 +717,7 @@ class TestLogTables:
     )
     def test_exp_table_is_powers_of_g(self, p, e, d, g):
         ctx = make_field(p, e, d)
+        ctx.all_elements()  # tables ctx
         n = ctx.q**d - 1
         assert ctx._exp[1] == g and len(ctx._exp) == 2 * n
         for k in range(2 * n):
@@ -704,7 +734,7 @@ class TestLogTables:
             return mul(self, x, y)
 
         monkeypatch.setattr(FieldCtx, "mul", counting_mul)
-        FieldCtx(3, 1, 6)
+        FieldCtx(3, 1, 6).all_elements()
         # square-and-multiply makes (bits - 1) squarings and (ones - 1) multiplies
         exps = (728 // 2, 728 // 7, 728 // 13)
         assert len(calls) == sum(k.bit_length() + bin(k).count("1") - 2 for k in exps)
@@ -721,15 +751,15 @@ class TestLogTables:
             return mul(self, x, y)
 
         monkeypatch.setattr(FieldCtx, "mul", recording_mul)
-        FieldCtx(p, e, d)
+        FieldCtx(p, e, d).all_elements()
         assert set(callers) == {"pow"}
 
     def test_tabled_suite_adds_no_coordinates(self, monkeypatch):
-        # every field lemma1_6 builds at (3,1,3,2) is tabled: F_{3^3} and F_{3^6}.
-        # They are built before counting, since a build tests primitivity by
-        # coordinate powers
+        # every field lemma1_6 builds at (3,1,3,2) is listed, and so tabled:
+        # F_{3^3} and F_{3^6}.  They are listed before counting, since a
+        # build of the tables tests primitivity by coordinate powers
         for d in (3, 6):
-            make_field(3, 1, d)
+            make_field(3, 1, d).all_elements()
         calls = []
         for name in ("add", "mul"):
             op = getattr(FieldCtx, name)
@@ -737,25 +767,12 @@ class TestLogTables:
         report = run_suite("lemma1_6", ((3, 1, 3, 2),))
         assert report and calls == []
 
-    def test_no_tables_above_cap(self):
-        ctx = make_field(2, 1, 11)
-        assert ctx._log is None
-        # the class methods run; only the Euclid inverse is cached on the instance
-        assert {"add", "neg", "mul", "pow", "frobenius", "format_elem"}.isdisjoint(vars(ctx))
-        assert "inv" in vars(ctx)
-
     def test_tables_leave_reports_unchanged(self, monkeypatch):
-        # oracle for the table path: with LOG_CAP patched to 0, only the
-        # fields that lemma1_6 and thm1_7 sweep build tables (they do so
-        # whatever the cap), so theta, roundtrip, rsu and the G/H point
-        # listings run on coordinates; the report and the listings are
-        # byte-identical to the default run
-        def clear_caches():
-            field._make_field_cached.cache_clear()
-            field._embed_cache.clear()
-            towers._level_candidates.cache_clear()
-            towers._trace_hyperplane.cache_clear()
-
+        # oracle for the table path: with `_build_logs` patched to keep the
+        # logs that lemma1_6 and thm1_7 compute on and to bind no lookups,
+        # every field operation runs on coordinates; the report and the G/H
+        # point listings are byte-identical to the default run, where the
+        # fields that are listed run on lookups
         def outputs():
             report = json.dumps(run_suite("all", grid), sort_keys=True)
             params = TowerParams(3, 1, 2, 1)
@@ -766,16 +783,80 @@ class TestLogTables:
             return report, points
 
         grid = ((2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 2), (2, 2, 2, 1))
-        clear_caches()
+        _clear_caches()
         try:
             default = outputs()
-            clear_caches()
-            monkeypatch.setattr(field, "LOG_CAP", 0)
+            _clear_caches()
+            build = FieldCtx._build_logs
+
+            def logs_only(ctx):
+                build(ctx)
+                for name in ("add", "neg", "mul", "inv", "pow", "frobenius"):
+                    delattr(ctx, name)  # back to the class methods
+
+            monkeypatch.setattr(FieldCtx, "_build_logs", logs_only)
             assert outputs() == default
             swept, unswept = make_field(2, 1, 4), make_field(3, 1, 8)  # lemma1_6's and roundtrip's
             assert swept._log is not None and unswept._log is None
+            assert "mul" not in vars(swept)
         finally:
-            clear_caches()
+            _clear_caches()
+
+
+class TestTableRule:
+    """A field is tabled when it is listed whole, and not before; a base F_q
+    with e > 1 exactly when it can be listed."""
+
+    def test_fresh_field_is_untabled(self):
+        ctx = FieldCtx(2, 1, 11)
+        assert ctx._log is None
+        # the class methods run; only the Euclid inverse is cached on the instance
+        assert {"add", "neg", "mul", "pow", "frobenius", "format_elem"}.isdisjoint(vars(ctx))
+        assert "inv" in vars(ctx)
+
+    def test_listing_a_proper_subfield_tables_nothing(self):
+        ctx = FieldCtx(2, 1, 6)
+        for m in (1, 2, 3):
+            assert len(ctx.subfield_elements(m)) == 2**m
+        assert ctx._log is None
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 3), (2, 2, 3), (3, 2, 2)])
+    def test_all_elements_tables_and_lists_as_untabled_twin(self, p, e, d):
+        ctx, twin = FieldCtx(p, e, d), FieldCtx(p, e, d)
+        els = ctx.all_elements()
+        assert ctx._log is not None and "mul" in vars(ctx)
+        assert els == twin.span_elements(twin.subfield_basis(d)) == _unlisted_elements(twin)
+        assert twin._log is None
+
+    def test_theta_ambients_stay_untabled(self):
+        # theta lists each grid tuple's F_{q^m}, but none of its splitting
+        # ambients, such as F_{3^6} at (3, 1, 2, 1)
+        _clear_caches()
+        try:
+            report = run_suite("theta")
+            assert ((3, 1, 2, 1), 6) in {(tuple(r["params"].values()), r["ambient_degree"]) for r in report}
+            for r in report:
+                params = r["params"]
+                assert make_field(params["p"], params["e"], params["m"])._log is not None
+                assert make_field(params["p"], params["e"], r["ambient_degree"])._log is None
+        finally:
+            _clear_caches()
+
+    def test_base_tabled_exactly_when_listable(self, monkeypatch):
+        monkeypatch.setattr(field, "ENUMERATION_CAP", 8)
+        assert _base_tabled(_BaseOps(2, 3)) and not _base_tabled(_BaseOps(2, 4))
+
+    @pytest.mark.parametrize("p,e", [(2, 26), (3, 16)])
+    def test_large_base_builds_no_table(self, monkeypatch, p, e):
+        # F_q is past the listing cap, so neither it nor F_{q^1} is listed.
+        # A build took about 3 ms (2 cores, Python 3.11), where tables of
+        # F_q would take minutes, so the bound is 0.5 s
+        monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+        start = time.perf_counter()
+        ctx = FieldCtx(p, e, 1)
+        assert time.perf_counter() - start < 0.5
+        base = ctx._bops._unpack.__self__  # the FieldCtx(p, 1, e) whose operations F_q runs
+        assert ctx._log is None and base._log is None and hasattr(ctx._bops.mul, "cache_info")
 
 
 class TestTraceAndSubfields:
@@ -859,8 +940,8 @@ class TestTextForm:
 
 class TestEmbedding:
     def test_embed_preserves_arithmetic(self):
-        # F_{4^3} -> F_{4^6} is the theta suite's map into an ambient above
-        # LOG_CAP, on F_4's tables; F_{9^2} -> F_{9^4} runs on cached operations
+        # F_{4^3} -> F_{4^6} is the theta suite's map into an ambient, on
+        # F_4's tables; F_{9^2} -> F_{9^4} runs on cached operations
         for p, e, d, dst_d in [(2, 1, 2, 4), (2, 2, 3, 6), (3, 2, 2, 4)]:
             src = make_field(p, e, d)
             dst = make_field(p, e, dst_d)

@@ -275,7 +275,7 @@ class TestChains:
 
     def test_e_space_level_one(self):
         chain = XChain(P221, F4, (F4.one,))
-        deg = splitting_degree(chain.composite(), P221.k)
+        deg = splitting_degree(chain.composite())
         big = chain.map_to(P221.field(deg))
         sp = e_space(big)
         assert sp.cardinality == P221.q**P221.k
@@ -283,13 +283,13 @@ class TestChains:
 
     def test_e_space_level_two(self):
         chain = XChain(P221, F4, (F4.one, W))
-        deg = splitting_degree(chain.composite(), 2 * P221.k)
+        deg = splitting_degree(chain.composite())
         sp = e_space(chain.map_to(P221.field(deg)))
         assert deg == 4 and sp.dim == 2
 
     def test_marked_point_consistency(self):
         chain = XChain(P221, F4, (F4.one, W))
-        deg = splitting_degree(chain.composite(), 2 * P221.k)
+        deg = splitting_degree(chain.composite())
         assert check_theta_marked_point(chain.map_to(P221.field(deg)))
 
 
@@ -318,7 +318,7 @@ class TestSpansAndRoundtrip:
     def test_roundtrip_k1_collapse(self):
         ctx = P232.field(3)
         phi = P232.module_at(ctx, ctx.one)
-        deg = splitting_degree(phi.phi_T(), 3)
+        deg = splitting_degree(phi.phi_T())
         amb = P232.field(deg)
         phi = phi.map_to(amb)
         mu = kernel(phi.phi_T()).elements()[1]
@@ -413,7 +413,7 @@ def _theta_chains():
         ctx = params.field(params.m)
         for pt in itertools.islice(iter_rational(params, 2, "F"), 3):
             chain = XChain(params, ctx, pt.coords)
-            deg = splitting_degree(chain.composite(), 2 * params.k)
+            deg = splitting_degree(chain.composite())
             amb = params.field(deg)
             big = chain.map_to(amb)
             x1, x2 = big.coords
@@ -444,7 +444,7 @@ class TestBasisChecksMatchListing:
         # k = 2 module against a k = 4 tower, whose f(T) maps E_n elsewhere
         amb = P331.field(8)
         collapse = P232.module_at(P232.field(3), P232.field(3).one)
-        collapse = collapse.map_to(P232.field(splitting_degree(collapse.phi_T(), 3)))
+        collapse = collapse.map_to(P232.field(splitting_degree(collapse.phi_T())))
         configs = [(P331, DrinfeldModule(amb, 3, 1, amb.scalar(2))), (P232, collapse)]
         configs += [(TowerParams(3, 1, 5, 1), DrinfeldModule(amb, 3, 1, g)) for g in amb.subfield_elements(2)]
         outcomes = []

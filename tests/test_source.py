@@ -72,6 +72,18 @@ def test_listing_cap_only_where_listed(path):
             assert scope == ("FieldCtx", "subfield_elements"), f"ENUMERATION_CAP read at {where}"
 
 
+def test_one_table_rule():
+    # listing a field tables it, inside field.py: no other module builds
+    # tables, and no module names a size threshold for them
+    for path in sorted(SRC.glob("*.py")) + sorted(SRC.parent.parent.joinpath("tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            assert name != "LOG_CAP", f"{name} at {where}"
+            if path.parent == SRC and path.name != "field.py" and isinstance(node, ast.Call):
+                assert getattr(node.func, "attr", None) != "_build_logs", f"_build_logs called at {where}"
+
+
 def test_every_command_has_one_handler():
     assert cli._HANDLERS.keys() == cli.COMMANDS.keys()
 
@@ -110,7 +122,6 @@ TEST_ONLY = {
     "drinfeld.APoly.eval_at_one",
     "drinfeld.annihilator_order",
     "drinfeld.find_isomorphism",
-    "drinfeld.torsion_kernel",
     "field.FieldCtx.element",
     "isogeny.bracket_coeffs",
     "isogeny.check_lemma_2_9",

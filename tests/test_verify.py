@@ -126,16 +126,21 @@ def test_bug_inside_suite_propagates(target, monkeypatch):
 
 def _fields(tup):
     """The swept field F_{q^d} of each degree d the two suites sweep at tup,
-    tabled, with its untabled oracle: a fresh build under LOG_CAP = 0."""
+    tabled by its listing, with its untabled oracle: a fresh build that
+    nothing lists."""
     params = TowerParams(*tup)
     for deg in (params.m, 2 * params.m):
         ctx = params.field(deg)
-        verify._sweep(ctx)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(field, "LOG_CAP", 0)
-            oracle = FieldCtx(ctx.p, ctx.e, deg)
+        ctx.all_elements()
+        oracle = FieldCtx(ctx.p, ctx.e, deg)
         assert ctx._log is not None and oracle._log is None
         yield params, ctx, oracle
+
+
+def _unlisted_nonzero(ctx) -> list:
+    """The nonzero elements of ctx in canonical order, listing nothing, so an
+    untabled ctx stays untabled."""
+    return [ctx.from_int(v) for v in range(1, ctx.q**ctx.d)]
 
 
 def _across(ctx, oracle, x):
@@ -154,7 +159,9 @@ def _object_lemma_1_6(tup, deg) -> tuple:
     (to_int(x), holds) in canonical order; F_{4^6} takes ~2 s, so it is
     computed once for the tests below."""
     ((params, ctx, oracle),) = [f for f in _fields(tup) if f[1].d == deg]
-    return tuple((oracle.to_int(x), verify_lemma_1_6(params, oracle, x)) for x in oracle.all_elements()[1:])
+    held = tuple((oracle.to_int(x), verify_lemma_1_6(params, oracle, x)) for x in _unlisted_nonzero(oracle))
+    assert oracle._log is None
+    return held
 
 
 @pytest.mark.parametrize("tup", DEFAULT_GRID, ids=str)
@@ -198,7 +205,7 @@ def test_log_cases_agree_with_object_cases(tup):
 
 
 def test_sweep_tables_f_4_6():
-    # F_{4^6} has 4,096 elements, above LOG_CAP, and lemma1_6 tables it
+    # lemma1_6 lists F_{4^6}, 4,096 elements, and so tables it
     tup = (2, 2, 3, 2)
     report = verify.run_suite("lemma1_6", (tup,))
     assert make_field(2, 2, 6)._log is not None
@@ -254,9 +261,7 @@ def test_mutation_fails_same_cases(tup, mutation, monkeypatch):
     params = TowerParams(*tup)
     lemma, thm = verify.run_suite("lemma1_6", (tup,))[0], verify.run_suite("thm1_7", (tup,))[0]
     ctx = params.field(params.m)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "LOG_CAP", 0)
-        oracle = FieldCtx(ctx.p, ctx.e, ctx.d)
+    oracle = FieldCtx(ctx.p, ctx.e, ctx.d)
     lemma_want, thm_want = [], []
     for x in ctx.all_elements()[1:]:
         xo = _across(ctx, oracle, x)
@@ -284,10 +289,8 @@ def test_fiber_pairs_off_rational_catch_wrong_lambda(tup, failed, pairs):
     # first three fiber solutions of each x are checked.
     params = TowerParams(*tup)
     amb = params.field(2 * params.m)
-    nonzero, log = verify._sweep(amb), amb._log
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "LOG_CAP", 0)
-        oracle = FieldCtx(amb.p, amb.e, amb.d)
+    nonzero, log = amb.all_elements()[1:], amb._log
+    oracle = FieldCtx(amb.p, amb.e, amb.d)
     held = {"object": [], "logs": []}
     for x in nonzero:
         xo = _across(amb, oracle, x)
@@ -386,7 +389,7 @@ def test_theta_ambient_past_cap_ends_run_first(capsys, monkeypatch):
 
 def test_all_takes_each_theta_degree_once(monkeypatch):
     calls, splitting = [], verify.splitting_degree
-    monkeypatch.setattr(verify, "splitting_degree", lambda f, t: calls.append(t) or splitting(f, t))
+    monkeypatch.setattr(verify, "splitting_degree", lambda f: calls.append(f.tau_degree) or splitting(f))
     grid = ((2, 1, 2, 1), (2, 1, 3, 1), (3, 1, 3, 2))  # p divides k at (2, 1, 3, 1)
     report = verify.run_suite("all", grid)
     # three chains per tuple with p not dividing k, and roundtrip's k = 1 case
