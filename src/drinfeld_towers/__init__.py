@@ -1,7 +1,7 @@
 """Drinfeld modules over F_q[T], twisted polynomial isogenies, and the
 recursive towers they generate, with exhaustive small-field verification."""
 
-from .drinfeld import APoly, DrinfeldModule, is_supersingular, j_invariant, make_module, phi_a
+from .drinfeld import APoly, DrinfeldModule, is_supersingular, j_invariant, phi_a
 from .field import FieldCtx, embed, make_field
 from .isogeny import TowerParams, XChain, eta, lambda_poly, q_poly
 from .ore import Subspace, TwistedPoly, kernel, solve_affine, splitting_degree
@@ -26,7 +26,6 @@ __all__ = [
     "kernel",
     "lambda_poly",
     "make_field",
-    "make_module",
     "phi_a",
     "q_poly",
     "rsu",

@@ -76,13 +76,6 @@ class APoly:
     def divides(self, other: "APoly") -> bool:
         return other.divmod(self)[1].is_zero()
 
-    def eval_at_one(self) -> int:
-        """a(1) as a base int (used for the characteristic-(T-1) check)."""
-        acc = 0
-        for c in self.coeffs:
-            acc = self.ctx._bops.add(acc, c)
-        return acc
-
     def text(self) -> str:
         if not self.coeffs:
             return "0"
@@ -150,10 +143,6 @@ class DrinfeldModule(Value):
             "J": self.ctx.format_elem(j_invariant(self)),
             "supersingular": is_supersingular(self),
         }
-
-
-def make_module(ctx: FieldCtx, m: int, j: int, g_j: FieldElem) -> DrinfeldModule:
-    return DrinfeldModule(ctx, m, j, g_j)
 
 
 def phi_a(phi: DrinfeldModule, a: APoly) -> TwistedPoly:

@@ -502,14 +502,6 @@ class FieldCtx:
     def _pad(self, coeffs: Sequence[int]) -> FieldElem:
         return tuple(coeffs) + (0,) * (self.d - len(coeffs))
 
-    def element(self, coeffs: Sequence[int]) -> FieldElem:
-        """Element from base-int coefficients in the basis {1, y, ..., y^{d-1}}."""
-        if len(coeffs) > self.d:
-            raise ValueError("too many coefficients")
-        if any(c < 0 or c >= self.q for c in coeffs):
-            raise ValueError("coefficients must be base ints in [0, q)")
-        return self._pad(coeffs)
-
     def from_base(self, b: int) -> FieldElem:
         """Constant element of the F_q-subfield, given as a base int."""
         return self._pad((b,))
@@ -643,10 +635,13 @@ class FieldCtx:
             acc = self.add(acc, cur)
         return acc
 
-    def in_subfield(self, x: FieldElem, m: int) -> bool:
-        """True iff x^{q^m} = x, i.e. x lies in F_{q^m} inside this field."""
+    def _check_divides(self, m: int) -> None:
         if m < 1 or self.d % m != 0:
             raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
+
+    def in_subfield(self, x: FieldElem, m: int) -> bool:
+        """True iff x^{q^m} = x, i.e. x lies in F_{q^m} inside this field."""
+        self._check_divides(m)
         return self.frobenius(x, m) == x
 
     def subfield_elements(self, m: int) -> list:
@@ -657,8 +652,7 @@ class FieldCtx:
         list nothing (F and G level sizes) answer to the size cap alone.
         With m = d it tables the field first (see the module docstring).
         """
-        if m < 1 or self.d % m != 0:
-            raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
+        self._check_divides(m)
         if self.q**m > ENUMERATION_CAP:
             raise SizeCapExceeded(f"q^m = {self.q}^{m} exceeds enumeration cap {ENUMERATION_CAP}")
         if m == self.d and self._log is None:
@@ -672,8 +666,7 @@ class FieldCtx:
         """An F_q-basis of F_{q^m} inside this field, listing nothing: the
         kernel of the F_q-linear map u -> u^{q^m} - u, whose fixed points
         F_{q^m} are."""
-        if m < 1 or self.d % m != 0:
-            raise DegreeNotDividing(f"{m} does not divide ambient degree {self.d}")
+        self._check_divides(m)
         basis = self._subfield_bases.get(m)
         if basis is None:
             from .linalg import solve

@@ -241,11 +241,6 @@ class XChain(Value):
         return XChain(self.params, dst, tuple(embed(x, self.ctx, dst) for x in self.coords))
 
 
-def e_space(chain: XChain) -> Subspace:
-    """E_n = Ker(lambda_{x_n} ... lambda_{x_1}); q^{nk} points once split."""
-    return kernel(chain.composite())
-
-
 def check_theta_marked_point(chain: XChain) -> bool:
     """Marked-point consistency of the level-structure correspondence.
 
@@ -262,7 +257,7 @@ def check_theta_marked_point(chain: XChain) -> bool:
     phi = params.module_at(ctx, x1)
     big_F, _ = F_and_f(params, ctx)
     phi_F_pow = phi_a(phi, big_F ** (n - 1))
-    basis = e_space(chain).basis
+    basis = kernel(chain.composite()).basis  # E_n = Ker(lambda_{x_n} ... lambda_{x_1})
     images = [evaluate(phi_F_pow, b) for b in basis]
     sol = linalg.solve([[v[i] for v in images] for i in range(ctx.d)], x1, ctx._bops)
     if sol is None:

@@ -42,12 +42,6 @@ class TwistedPoly:
     def constant(cls, ctx, c: FieldElem):
         return cls(ctx, (c,))
 
-    @classmethod
-    def tau(cls, ctx, i: int = 1, coeff: FieldElem | None = None):
-        """coeff * tau^i (coeff defaults to 1)."""
-        c = ctx.one if coeff is None else coeff
-        return cls(ctx, (ctx.zero,) * i + (c,))
-
     @property
     def tau_degree(self):
         """Index of the last nonzero coefficient; None for the zero polynomial."""
@@ -181,11 +175,6 @@ def evaluate(f: TwistedPoly, mu: FieldElem) -> FieldElem:
     return acc
 
 
-def point_derivation(f: TwistedPoly) -> FieldElem:
-    """The constant coefficient g_0 (multiplicative on products)."""
-    return f.coeff(0)
-
-
 def linear_matrix(f: TwistedPoly):
     """d x d matrix over F_q of the q-linear map mu -> f(mu).
 
@@ -226,10 +215,6 @@ class Subspace(Value):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def cardinality(self) -> int:
-        return self.ctx.q**self.dim
 
     def contains(self, x: FieldElem) -> bool:
         red, _ = linalg.rref(self.basis + (tuple(x),), self.ctx._bops)

@@ -30,7 +30,7 @@ from .isogeny import TowerParams
 from .ore import TwistedPoly, count_affine, solve_affine
 from .value import Value
 
-POINTS_CAP = 2**18  # most chains `enumerate_rational` builds on one level
+POINTS_CAP = 2**18  # most chains on one level that `points` lists or verify's rsu sweeps
 
 
 def eval_F(params: TowerParams, ctx: FieldCtx, x: FieldElem, y: FieldElem) -> FieldElem:

@@ -19,7 +19,10 @@ each case on discrete logs: the exponent forms of `isogeny`
 `ore.ore_mul_logs`; the object checks `verify_lemma_1_6` and
 `check_intertwine` are their test oracle, and `check_intertwine` still
 checks thm1_7's chain composites.  thm1_7 and rsu read their fiber pairs
-from the one cached successor relation (`towers._level_candidates`).  Both
+from the one cached successor relation (`towers._level_candidates`), and
+thm1_7's 20 composite chains and theta's 3 chains are the first of a walk
+along it in canonical order, so neither meets `towers.POINTS_CAP`, which
+bounds only what a suite sweeps: rsu checks it on level 2 first.  Both
 rsu entries call `towers.rsu`, whose field operations are table lookups on
 the swept F_{q^m}; rsu_random lists nothing of its F_{q^{2m}}, so it runs on
 lookups only where another suite (lemma1_6) has listed that field.  Each
@@ -52,7 +55,7 @@ from .isogeny import (
     phi_logs,
 )
 from .ore import kernel, splitting_degree
-from .towers import _check_points_cap, _level_candidates, fiber_solutions, iter_rational, rsu, rsu_relations
+from .towers import _check_points_cap, _level_candidates, fiber_solutions, rsu, rsu_relations
 
 # (p, e, m, j) for q in {2, 3, 4, 5}; every tuple here has k = m - j = 1
 DEFAULT_GRID = (
@@ -126,11 +129,12 @@ def _thm1_7_cases(params: TowerParams, ctx):
         lam, phi_x = lambda_logs(params, ctx, log[x]), phi_logs(params, ctx, log[x])
         for y in successors(x):
             yield lambda: intertwine_logs(ctx, lam, phi_x, phi_logs(params, ctx, log[y])), lambda: _named(ctx, x=x, y=y)
-    # composites over length-3 chains (capped; order is canonical)
-    for pt in itertools.islice(iter_rational(params, 3, "F"), 20):
-        chain = XChain(params, ctx, pt.coords)
-        phi, psi = params.module_at(ctx, pt.coords[0]), params.module_at(ctx, pt.coords[-1])
-        yield lambda: check_intertwine(chain.composite(), phi, psi), lambda: f"chain {_listed(ctx, pt.coords)}"
+    # composites over the first 20 length-3 chains, walked along the same relation in canonical order
+    walk = ((x, y, z) for x in nonzero for y in successors(x) for z in successors(y))
+    for coords in itertools.islice(walk, 20):
+        chain = XChain(params, ctx, coords)
+        phi, psi = params.module_at(ctx, coords[0]), params.module_at(ctx, coords[-1])
+        yield lambda: check_intertwine(chain.composite(), phi, psi), lambda: f"chain {_listed(ctx, coords)}"
 
 
 def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
@@ -145,15 +149,17 @@ def suite_thm1_7(grid=DEFAULT_GRID, seed: int = 0) -> list:
 
 def _theta_plan(tup: tuple) -> tuple:
     """(params, chains, degrees) for theta at one grid tuple: the first three
-    length-2 rational chains and the closed-form splitting degree of each
+    length-2 rational chains, walked along the cached successor relation in
+    canonical order, and the closed-form splitting degree of each
     composite (`splitting_degree`), so no ambient is built but the one that
     confirms each degree; (params, None, None) when p divides k."""
     params = TowerParams(*tup)
     if not params.k_coprime_to_p:
         return params, None, None
     ctx = params.field(params.m)
-    points = itertools.islice(iter_rational(params, 2, "F"), 3)
-    chains = [XChain(params, ctx, pt.coords) for pt in points]
+    successors = _level_candidates(params, ctx, "F")
+    walk = ((x, y) for x in ctx.all_elements()[1:] for y in successors(x))
+    chains = [XChain(params, ctx, coords) for coords in itertools.islice(walk, 3)]
     return params, chains, [splitting_degree(chain.composite()) for chain in chains]
 
 

@@ -1,22 +1,24 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld_towers.drinfeld import (
     APoly,
+    DrinfeldModule,
     annihilator_order,
     cyclic_module,
     find_isomorphism,
     is_supersingular,
     j_invariant,
-    make_module,
     module_from_point,
     monic_apolys,
     phi_a,
 )
 from drinfeld_towers.errors import BadRankPair, ZeroPoint
 from drinfeld_towers.field import make_field
-from drinfeld_towers.ore import TwistedPoly, evaluate, kernel, ore_add, ore_mul, point_derivation
+from drinfeld_towers.ore import TwistedPoly, evaluate, kernel, ore_add, ore_mul
 
 F4 = make_field(2, 1, 2)
 F9 = make_field(3, 1, 2)
@@ -31,16 +33,16 @@ def apolys(ctx, max_deg=3):
 
 class TestConstruction:
     def test_supersingular_shape(self):
-        phi = make_module(F4, 2, 1, F4.zero)
+        phi = DrinfeldModule(F4, 2, 1, F4.zero)
         assert phi.phi_T() == TwistedPoly(F4, (F4.one, F4.zero, F4.one))  # -1 = 1 in char 2
         assert is_supersingular(phi)
 
     def test_bad_gcd(self):
         with pytest.raises(BadRankPair):
-            make_module(F4, 4, 2, F4.one)
+            DrinfeldModule(F4, 4, 2, F4.one)
 
     def test_rank_three_coefficients(self):
-        phi = make_module(F4, 3, 2, W)
+        phi = DrinfeldModule(F4, 3, 2, W)
         f = phi.phi_T()
         assert f.coeff(0) == F4.one
         assert f.coeff(2) == W
@@ -49,68 +51,69 @@ class TestConstruction:
 
     def test_out_of_range_j(self):
         with pytest.raises(BadRankPair):
-            make_module(F9, 2, 2, F9.one)
+            DrinfeldModule(F9, 2, 2, F9.one)
 
 
 class TestSubstitution:
     def test_phi_of_T(self):
-        phi = make_module(F9, 2, 1, F9.from_int(5))
+        phi = DrinfeldModule(F9, 2, 1, F9.from_int(5))
         assert phi_a(phi, APoly.T(F9)) == phi.phi_T()
 
     def test_phi_of_constant(self):
-        phi = make_module(F9, 2, 1, F9.one)
+        phi = DrinfeldModule(F9, 2, 1, F9.one)
         a = APoly(F9, (2,))
         assert phi_a(phi, a) == TwistedPoly.constant(F9, F9.scalar(2))
 
     def test_characteristic_annihilates_derivation(self):
-        phi = make_module(F4, 2, 1, W)
+        phi = DrinfeldModule(F4, 2, 1, W)
         t_minus_1 = APoly.from_ints(F4, [-1, 1])
-        assert point_derivation(phi_a(phi, t_minus_1)) == F4.zero
+        assert phi_a(phi, t_minus_1).coeff(0) == F4.zero
 
     def test_derivation_is_eval_at_one(self):
-        phi = make_module(F9, 2, 1, F9.from_int(3))
+        phi = DrinfeldModule(F9, 2, 1, F9.from_int(3))
         for a in monic_apolys(F9, 2):
-            assert point_derivation(phi_a(phi, a)) == F9.scalar(a.eval_at_one())
+            a_at_one = functools.reduce(F9.add, map(F9.from_base, a.coeffs), F9.zero)
+            assert phi_a(phi, a).coeff(0) == a_at_one
 
     @settings(max_examples=40, deadline=None)
     @given(apolys(F4), apolys(F4))
     def test_homomorphism_and_commutativity(self, a, b):
-        phi = make_module(F4, 2, 1, W)
+        phi = DrinfeldModule(F4, 2, 1, W)
         fa, fb = phi_a(phi, a), phi_a(phi, b)
         assert phi_a(phi, a * b) == ore_mul(fa, fb)
         assert phi_a(phi, a + b) == ore_add(fa, fb)
         assert ore_mul(fa, fb) == ore_mul(fb, fa)
 
     def test_tau_degree_scaling(self):
-        phi = make_module(F9, 2, 1, F9.one)
+        phi = DrinfeldModule(F9, 2, 1, F9.one)
         a = APoly.T(F9) ** 2
         assert phi_a(phi, a).tau_degree == phi.m * a.degree
 
 
 class TestInvariants:
     def test_supersingular_j(self):
-        assert j_invariant(make_module(F4, 2, 1, F4.zero)) == F4.zero
+        assert j_invariant(DrinfeldModule(F4, 2, 1, F4.zero)) == F4.zero
 
     def test_unit_j(self):
-        assert j_invariant(make_module(F9, 2, 1, F9.one)) == F9.one
+        assert j_invariant(DrinfeldModule(F9, 2, 1, F9.one)) == F9.one
 
     def test_w_cubed(self):
-        assert j_invariant(make_module(F4, 2, 1, W)) == F4.one
+        assert j_invariant(DrinfeldModule(F4, 2, 1, W)) == F4.one
 
 
 class TestIsomorphism:
     def test_self_isomorphism(self):
-        phi = make_module(F4, 2, 1, W)
+        phi = DrinfeldModule(F4, 2, 1, W)
         lam = find_isomorphism(phi, phi)
         assert lam is not None
 
     def test_supersingular_pair(self):
-        phi = make_module(F4, 2, 1, F4.zero)
+        phi = DrinfeldModule(F4, 2, 1, F4.zero)
         assert find_isomorphism(phi, phi) == F4.one
 
     def test_twist_by_w(self):
-        phi = make_module(F4, 2, 1, W)
-        phi2 = make_module(F4, 2, 1, F4.mul(W, W))
+        phi = DrinfeldModule(F4, 2, 1, W)
+        phi2 = DrinfeldModule(F4, 2, 1, F4.mul(W, W))
         lam = find_isomorphism(phi, phi2)
         assert lam is not None
         assert phi.g_j == F4.mul(phi2.g_j, F4.pow(lam, F4.q**phi.j - 1))
@@ -122,7 +125,7 @@ class TestIsomorphism:
     def test_isomorphism_iff_same_j_invariant(self, ctx, m, j):
         for g1 in ctx.all_elements():
             for g2 in ctx.all_elements():
-                phi, phi2 = make_module(ctx, m, j, g1), make_module(ctx, m, j, g2)
+                phi, phi2 = DrinfeldModule(ctx, m, j, g1), DrinfeldModule(ctx, m, j, g2)
                 found = find_isomorphism(phi, phi2) is not None
                 assert found == (j_invariant(phi) == j_invariant(phi2))
 
@@ -158,33 +161,33 @@ class TestPointModules:
 
 class TestTorsion:
     def test_unit_torsion(self):
-        phi = make_module(F4, 2, 1, F4.one)
+        phi = DrinfeldModule(F4, 2, 1, F4.one)
         assert kernel(phi_a(phi, APoly.one(F4))).elements() == [F4.zero]
 
     def test_T_torsion_in_splitting_ambient(self):
         amb = make_field(2, 1, 6)
-        phi = make_module(amb, 2, 1, amb.one)
+        phi = DrinfeldModule(amb, 2, 1, amb.one)
         ker = kernel(phi_a(phi, APoly.T(amb)))
-        assert ker.dim == 2 and ker.cardinality == 4
+        assert ker.dim == 2 and amb.q**ker.dim == 4
 
     def test_T_squared_torsion(self):
         amb = make_field(2, 1, 6)
-        phi = make_module(amb, 2, 1, amb.one)
-        assert kernel(phi_a(phi, APoly.T(amb) ** 2)).cardinality == 16
+        phi = DrinfeldModule(amb, 2, 1, amb.one)
+        assert amb.q ** kernel(phi_a(phi, APoly.T(amb) ** 2)).dim == 16
 
     def test_characteristic_torsion_is_small(self):
         # T - 1 is the characteristic: phi_{T-1} is inseparable, kernel stays
         # strictly below q^m even in a splitting ambient for phi_T
         amb = make_field(2, 1, 6)
-        phi = make_module(amb, 2, 1, amb.one)
+        phi = DrinfeldModule(amb, 2, 1, amb.one)
         t_minus_1 = APoly.from_ints(amb, [-1, 1])
-        assert kernel(phi_a(phi, t_minus_1)).cardinality < 4
+        assert amb.q ** kernel(phi_a(phi, t_minus_1)).dim < 4
 
 
 class TestAnnihilatorsAndCyclicModules:
     def _phi(self):
         amb = make_field(2, 1, 6)
-        return make_module(amb, 2, 1, amb.one)
+        return DrinfeldModule(amb, 2, 1, amb.one)
 
     def test_zero_annihilated_by_one(self):
         phi = self._phi()

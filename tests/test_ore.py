@@ -22,7 +22,6 @@ from drinfeld_towers.ore import (
     ore_mul,
     ore_mul_logs,
     ore_scale,
-    point_derivation,
     solve_affine,
     splitting_degree,
 )
@@ -38,6 +37,11 @@ def poly(ctx, ints):
     return TwistedPoly(ctx, tuple(ctx.from_int(i % (ctx.q**ctx.d)) for i in ints))
 
 
+def tau(ctx, i=1, coeff=None):
+    """coeff * tau^i (coeff defaults to 1)."""
+    return TwistedPoly(ctx, (ctx.zero,) * i + (ctx.one if coeff is None else coeff,))
+
+
 def polys(ctx):
     size = ctx.q**ctx.d
     return st.lists(st.integers(0, size - 1), max_size=5).map(lambda l: poly(ctx, l))
@@ -46,8 +50,8 @@ def polys(ctx):
 class TestRingBasics:
     def test_twist_rule(self):
         # tau * w = w^2 tau = (w + 1) tau
-        lhs = ore_mul(TwistedPoly.tau(F4), TwistedPoly.constant(F4, W))
-        assert lhs == TwistedPoly.tau(F4, 1, F4.add(W, F4.one))
+        lhs = ore_mul(tau(F4), TwistedPoly.constant(F4, W))
+        assert lhs == tau(F4, 1, F4.add(W, F4.one))
 
     def test_identity(self):
         f = poly(F4, [2, 3, 1])
@@ -55,7 +59,7 @@ class TestRingBasics:
         assert ore_mul(TwistedPoly.one(F4), f) == f
 
     def test_difference_of_squares_with_central_constants(self):
-        t = TwistedPoly.tau(F9)
+        t = tau(F9)
         one = TwistedPoly.one(F9)
         prod = ore_mul(t - one, t + one)
         expected = ore_add(ore_mul(t, t), -one)
@@ -73,8 +77,8 @@ class TestRingBasics:
         for c_i in range(1, 4):
             for a_i in range(1, 4):
                 c, a = F4.from_int(c_i), F4.from_int(a_i)
-                lhs = ore_mul(ore_scale(c, TwistedPoly.tau(F4)), TwistedPoly.constant(F4, a))
-                rhs = ore_scale(F4.mul(c, F4.frobenius(a, 1)), TwistedPoly.tau(F4))
+                lhs = ore_mul(ore_scale(c, tau(F4)), TwistedPoly.constant(F4, a))
+                rhs = ore_scale(F4.mul(c, F4.frobenius(a, 1)), tau(F4))
                 assert lhs == rhs
 
     def test_context_mismatch(self):
@@ -127,13 +131,13 @@ class TestProductOnLogs:
 class TestEvaluation:
     def test_tau_is_frobenius(self):
         for x in F9.all_elements():
-            assert evaluate(TwistedPoly.tau(F9), x) == F9.frobenius(x, 1)
+            assert evaluate(tau(F9), x) == F9.frobenius(x, 1)
 
     def test_zero_point(self):
         assert evaluate(poly(F4, [1, 2, 3]), F4.zero) == F4.zero
 
     def test_tau_plus_one_at_w(self):
-        f = ore_add(TwistedPoly.tau(F4), TwistedPoly.one(F4))
+        f = ore_add(tau(F4), TwistedPoly.one(F4))
         assert evaluate(f, W) == F4.one
 
     @settings(max_examples=40, deadline=None)
@@ -143,14 +147,14 @@ class TestEvaluation:
         assert evaluate(ore_mul(f, g), mu) == evaluate(f, evaluate(g, mu))
 
     def test_point_derivation(self):
-        assert point_derivation(TwistedPoly.tau(F4, 3)) == F4.zero
-        assert point_derivation(TwistedPoly.one(F4)) == F4.one
+        assert tau(F4, 3).coeff(0) == F4.zero
+        assert TwistedPoly.one(F4).coeff(0) == F4.one
         c, c2 = F4.from_int(2), F4.from_int(3)
         prod = ore_mul(
-            ore_add(TwistedPoly.tau(F4), TwistedPoly.constant(F4, c)),
-            ore_add(TwistedPoly.tau(F4), TwistedPoly.constant(F4, c2)),
+            ore_add(tau(F4), TwistedPoly.constant(F4, c)),
+            ore_add(tau(F4), TwistedPoly.constant(F4, c2)),
         )
-        assert point_derivation(prod) == F4.mul(c, c2)
+        assert prod.coeff(0) == F4.mul(c, c2)
 
 
 def _matrix_by_evaluation(f):
@@ -170,7 +174,7 @@ class TestLinearAlgebraBridge:
         from drinfeld_towers import field, linalg
 
         ctx = make_field(2, 1, 3)
-        mat = linear_matrix(TwistedPoly.tau(ctx))
+        mat = linear_matrix(tau(ctx))
         red, pivots = linalg.rref(mat, ctx._bops)
         assert len(pivots) == ctx.d
 
@@ -221,7 +225,7 @@ class TestKernels:
         assert kernel(TwistedPoly.one(F4)).elements() == [F4.zero]
 
     def test_kernel_of_tau_minus_one(self):
-        f = ore_add(TwistedPoly.tau(F9), -TwistedPoly.one(F9))
+        f = ore_add(tau(F9), -TwistedPoly.one(F9))
         ker = kernel(f)
         assert ker.dim == 1
         assert set(ker.elements()) == set(F9.subfield_elements(1))
@@ -241,7 +245,7 @@ class TestKernels:
 
     def test_solve_affine_coset_sizes(self):
         f = poly(F4, [1, 1, 1])
-        card = kernel(f).cardinality
+        card = F4.q ** kernel(f).dim
         for c in F4.all_elements():
             assert len(solve_affine(f, c)) in (0, card)
 
@@ -251,7 +255,7 @@ class TestKernels:
         assert ker.elements() == F9.all_elements()
 
     def test_solve_affine_one_elimination(self, monkeypatch):
-        f = ore_add(TwistedPoly.tau(F9), -TwistedPoly.one(F9))
+        f = ore_add(tau(F9), -TwistedPoly.one(F9))
         mu = F9.from_int(5)
         calls = []
         rref = linalg.rref
@@ -285,7 +289,7 @@ class TestKernels:
 class TestSplittingDegree:
     def test_already_split(self):
         ctx = make_field(2, 1, 1)
-        f = ore_add(TwistedPoly.tau(ctx), -TwistedPoly.one(ctx))
+        f = ore_add(tau(ctx), -TwistedPoly.one(ctx))
         assert splitting_degree(f) == 1
 
     def test_module_splitting_search(self):
@@ -294,7 +298,7 @@ class TestSplittingDegree:
         assert splitting_degree(f) == 6
 
     def test_full_kernel_returns_current_degree(self):
-        f = ore_add(TwistedPoly.tau(F4), -TwistedPoly.one(F4))
+        f = ore_add(tau(F4), -TwistedPoly.one(F4))
         assert splitting_degree(f) == F4.d
 
     def test_unreachable_target(self, monkeypatch):

@@ -17,7 +17,7 @@ from drinfeld_towers.errors import NoMarkedPreimage, NotCyclic, NotOnCurve, Size
 from drinfeld_towers.field import FieldCtx, make_field
 from drinfeld_towers.isogeny import TowerParams, check_intertwine, verify_lemma_1_6
 from drinfeld_towers.ore import TwistedPoly, ore_mul, ore_mul_logs
-from drinfeld_towers.towers import RSU, fiber_solutions, rsu
+from drinfeld_towers.towers import RSU, fiber_solutions, iter_rational, rsu
 from drinfeld_towers.verify import DEFAULT_GRID, _random_fiber_pairs
 
 # stdout sha256 at nonzero seeds, as printed when rsu_random drew x by
@@ -395,3 +395,37 @@ def test_all_takes_each_theta_degree_once(monkeypatch):
     # three chains per tuple with p not dividing k, and roundtrip's k = 1 case
     assert len(calls) == 3 * 2 + 1
     assert report == [e for s in verify.SUITES for e in verify.run_suite(s, grid)]
+
+
+# ---------------------------------------------------------------------------
+# the chains thm1_7 and theta take: the first of a walk along the successor
+# relation, with no whole-level count against POINTS_CAP
+
+
+@pytest.mark.parametrize("tup", DEFAULT_GRID, ids=str)
+def test_chains_are_the_first_rational_points(tup, monkeypatch):
+    # the walk yields what the points pipeline yields, coordinates and order,
+    # so the labels and the order of any failures stay as they were
+    params = TowerParams(*tup)
+    ctx = params.field(params.m)
+    taken, chain = [], verify.XChain
+    monkeypatch.setattr(verify, "XChain", lambda params, ctx, coords: taken.append(coords) or chain(params, ctx, coords))
+    labels = [label() for _, label in verify._thm1_7_cases(params, ctx)]
+    level3 = [pt.coords for pt in itertools.islice(iter_rational(params, 3, "F"), 20)]
+    assert taken == level3
+    assert labels[len(labels) - len(level3) :] == [f"chain {verify._listed(ctx, c)}" for c in level3]
+    _, chains, _ = verify._theta_plan(tup)
+    assert [c.coords for c in chains] == [pt.coords for pt in itertools.islice(iter_rational(params, 2, "F"), 3)]
+
+
+def test_thm1_7_past_points_cap_runs(capsys, monkeypatch):
+    # level 3 of (2, 1, 7, 1) holds 520,192 chains, past POINTS_CAP = 2^18;
+    # thm1_7 takes 20 of them and rsu sweeps level 2, so the run completes.
+    # Measured at 0.40-0.43 s in-process on 2 cores; the bound leaves room for load.
+    monkeypatch.delenv("DRINFELD_SIZE_CAP", raising=False)
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "all", "--p", "2", "--m", "7", "--j", "1"]) == 0
+    assert time.perf_counter() - start < 2
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert verify.total_failures(report) == 0
+    assert {e["check"] for e in report} == set(verify.SUITES) | {"rsu_random"}
