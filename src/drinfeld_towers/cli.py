@@ -1,9 +1,11 @@
 """Command-line front end: point enumeration, fibers, counts, verification.
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
-3 resource limit hit (a size cap, or memory).  Each command's handler runs
-on the parsed namespace, with the size cap in force added to it, and a
-report embeds that namespace as its configuration (`_config`).
+3 resource limit hit (a size cap, memory, or stdout failing on write or
+closed), 130 interrupted (Ctrl-C), 141 the reader of stdout went away (a
+closed pipe, as `| head` does).  Each command's handler runs on the parsed
+namespace, with the size cap in force added to it, and a report embeds that
+namespace as its configuration (`_config`).
 
 Each subcommand's options are declared once, in `COMMANDS`.  A well-formed
 `<command> --name value ...` is parsed straight from that table; any other
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 import types
 
@@ -32,6 +35,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERRUPT = 130  # 128 + SIGINT
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 _JSON = json.JSONEncoder(sort_keys=True)  # json.dumps with sort_keys builds one per call
 
@@ -255,9 +260,24 @@ def main(argv=None) -> int:
             print("verify with --e, --m or --j also needs --p", file=sys.stderr)
             return EXIT_USAGE
         ns.e = 1 if ns.e is None else ns.e
+    if sys.stdout is None:  # fd 1 was closed at start-up; print would drop the report
+        print("resource limit: cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_RESOURCE
     try:
         ns.size_cap = size_cap()  # the cap in force; a malformed one refuses any command
-        return _HANDLERS[ns.command](ns, sys.stdout)
+        code = _HANDLERS[ns.command](ns, sys.stdout)
+        sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
+        return code
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPT
+    except OSError as exc:  # the handlers' only I/O is writing stdout
+        # the unwritten rest goes to devnull, so the flush at exit cannot fail
+        # again (Python's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader left: as if killed by SIGPIPE, silently
+            return EXIT_PIPE
+        print(f"resource limit: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except SizeCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -51,9 +51,6 @@ class APoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
-
     def __add__(self, other):
         return APoly(self.ctx, poly_add(self.coeffs, other.coeffs, self.ctx._bops))
 
@@ -76,23 +73,8 @@ class APoly:
     def divides(self, other: "APoly") -> bool:
         return other.divmod(self)[1].is_zero()
 
-    def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*T" if c != 1 else "T")
-            else:
-                parts.append(f"{c}*T^{i}" if c != 1 else f"T^{i}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"APoly({self.text()})"
+        return f"APoly({self.coeffs!r})"
 
 
 def monic_apolys(ctx: FieldCtx, degree: int):
@@ -118,10 +100,6 @@ class DrinfeldModule(Value):
         check_rank_pair(m, j)
         self._assign(ctx, m, j, g_j)
 
-    @property
-    def k(self) -> int:
-        return self.m - self.j
-
     def phi_T(self) -> TwistedPoly:
         ctx = self.ctx
         coeffs = [ctx.zero] * (self.m + 1)
@@ -132,17 +110,6 @@ class DrinfeldModule(Value):
 
     def map_to(self, dst: FieldCtx) -> "DrinfeldModule":
         return DrinfeldModule(dst, self.m, self.j, embed(self.g_j, self.ctx, dst))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.ctx.p,
-            "e": self.ctx.e,
-            "m": self.m,
-            "j": self.j,
-            "g_j": self.ctx.format_elem(self.g_j),
-            "J": self.ctx.format_elem(j_invariant(self)),
-            "supersingular": is_supersingular(self),
-        }
 
 
 def phi_a(phi: DrinfeldModule, a: APoly) -> TwistedPoly:

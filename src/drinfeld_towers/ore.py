@@ -2,10 +2,12 @@
 
 A TwistedPoly acts on its field as the q-linearized map
 f(mu) = sum g_i mu^{q^i}; multiplication in the ring models composition of
-these maps.  Kernels and affine solution sets are computed by exact linear
-algebra over F_q inside the ambient field standing in for the algebraic
-closure; the least ambient that splits a whole kernel is read off a matrix
-order (`splitting_degree`), without building the ambients below it.
+these maps.  Its operations are functions, one spelling each: `ore_add`,
+`ore_mul` and `evaluate`, with no operator methods.  Kernels and affine
+solution sets are computed by exact linear algebra over F_q inside the
+ambient field standing in for the algebraic closure; the least ambient that
+splits a whole kernel is read off a matrix order (`splitting_degree`),
+without building the ambients below it.
 """
 
 from __future__ import annotations
@@ -60,43 +62,8 @@ class TwistedPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
-
-    def __add__(self, other):
-        return ore_add(self, other)
-
-    def __sub__(self, other):
-        return ore_add(self, ore_scale(self.ctx.neg(self.ctx.one), other))
-
-    def __neg__(self):
-        return ore_scale(self.ctx.neg(self.ctx.one), self)
-
-    def __mul__(self, other):
-        return ore_mul(self, other)
-
-    def __call__(self, mu: FieldElem) -> FieldElem:
-        return evaluate(self, mu)
-
     def __repr__(self):
-        return f"TwistedPoly({self.text()})"
-
-    def text(self) -> str:
-        """Canonical text form: "g_0 + g_1*t + g_2*t^2 + ..."."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.ctx.zero:
-                continue
-            s = self.ctx.format_elem(c)
-            if i == 0:
-                parts.append(s)
-            elif i == 1:
-                parts.append(f"{s}*t")
-            else:
-                parts.append(f"{s}*t^{i}")
-        return " + ".join(parts)
+        return f"TwistedPoly({self.coeffs!r})"
 
     def map_to(self, dst: FieldCtx) -> "TwistedPoly":
         """Same polynomial with coefficients embedded into a larger ambient."""
@@ -113,11 +80,6 @@ def ore_add(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     ctx = f.ctx
     n = max(len(f.coeffs), len(g.coeffs))
     return TwistedPoly(ctx, (ctx.add(f.coeff(i), g.coeff(i)) for i in range(n)))
-
-
-def ore_scale(c: FieldElem, f: TwistedPoly) -> TwistedPoly:
-    ctx = f.ctx
-    return TwistedPoly(ctx, (ctx.mul(c, a) for a in f.coeffs))
 
 
 def ore_mul(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -390,6 +391,94 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "rsu", option, "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+
+
+# one command per way a report is written: JSON and CSV point records, one
+# line each, and verify's single report line; the points runs write far more
+# than a pipe holds
+WRITERS = {
+    "points-json": ["points", "--p", "2", "--m", "4", "--j", "1", "--n", "4", "--variant", "F"],
+    "points-csv": ["points", "--p", "2", "--m", "4", "--j", "1", "--n", "4", "--variant", "F", "--format", "csv"],
+    "verify": ["verify", "--suite", "lemma1_6", "--p", "2", "--m", "2", "--j", "1"],
+}
+
+
+def _cli(argv, **kwargs):
+    """A `python -m drinfeld_towers` process on this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "drinfeld_towers", *argv], env=env, **kwargs)
+
+
+def _assert_clean(err: str):
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+class _ClosingPipe(io.StringIO):
+    """A stdout whose reader leaves after `lines` lines, with `fd` standing
+    in for the pipe's descriptor."""
+
+    def __init__(self, lines: int, fd: int):
+        super().__init__()
+        self.lines, self.fd = lines, fd
+
+    def write(self, s):
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(s)
+
+    def fileno(self):
+        return self.fd
+
+
+class TestStdoutFailures:
+    """A stdout that fails on write exits with one documented code, never a
+    traceback: 141 when the reader leaves, 3 when the write fails otherwise
+    or stdout is closed."""
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_pipe_closed_by_reader(self, command):
+        # the reader takes one line of points, or none of verify's one line,
+        # and closes its end while the command still has output to write
+        proc = _cli(WRITERS[command], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        if command != "verify":
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_full_device_is_resource_limit(self, command):
+        with open("/dev/full", "w") as full:
+            proc = _cli(WRITERS[command], stdout=full, stderr=subprocess.PIPE, text=True)
+            err = proc.communicate(timeout=60)[1]
+        _assert_clean(err)
+        assert proc.returncode == 3
+        assert err.splitlines() == ["resource limit: cannot write output: [Errno 28] No space left on device"]
+
+    def test_closed_stdout_is_resource_limit(self):
+        proc = _cli(["bound", "--p", "2", "--m", "2"], stderr=subprocess.PIPE, text=True,
+                    preexec_fn=lambda: os.close(1))
+        err = proc.communicate(timeout=60)[1]
+        _assert_clean(err)
+        assert proc.returncode == 3
+        assert err.splitlines() == ["resource limit: cannot write output: stdout is closed"]
+
+    @pytest.mark.parametrize("command,lines", [("points-json", 3), ("points-csv", 2), ("verify", 0)])
+    def test_broken_pipe_after_k_lines(self, tmp_path, command, lines):
+        full = io.StringIO()
+        with contextlib.redirect_stdout(full):
+            assert main(WRITERS[command]) == 0
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            pipe, err = _ClosingPipe(lines, fd), io.StringIO()
+            with contextlib.redirect_stdout(pipe), contextlib.redirect_stderr(err):
+                code = main(WRITERS[command])
+        finally:
+            os.close(fd)
+        assert code == 141 and err.getvalue() == ""
+        assert pipe.getvalue().splitlines() == full.getvalue().splitlines()[:lines]
 
 
 class TestRunConfig:

@@ -124,6 +124,15 @@ def test_verify_walks_the_successor_relation():
         assert name not in {"iter_rational", "enumerate_rational", "TowerPoint"}, f"{name} at verify.py:{node.lineno}"
 
 
+def test_one_spelling_per_twisted_operation():
+    # ore_add, ore_mul and evaluate are the operations on a TwistedPoly; an
+    # operator or call method would be a second spelling of one of them
+    from drinfeld_towers.ore import TwistedPoly
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__call__"):
+        assert name not in vars(TwistedPoly), f"TwistedPoly.{name}"
+
+
 # functions and methods that only tests call, by module and qualified name.
 # Give one a caller in src/ or an entry in __all__, or move it to tests/ as
 # an oracle, and take it off; add none.
