@@ -242,12 +242,12 @@ def fast_parse(argv) -> types.SimpleNamespace | None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ns = fast_parse(argv)
-    if ns is None:
-        try:
-            ns = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code else EXIT_OK
+    try:
+        ns = fast_parse(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPT
     if ns.command == "verify":
         if ns.suite == "roundtrip" and (ns.p, ns.e, ns.m, ns.j) != (None,) * 4:
             print("verify --suite roundtrip runs fixed cases; it takes no --p/--e/--m/--j",

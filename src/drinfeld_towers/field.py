@@ -5,10 +5,10 @@ an element of F_q packed as an integer in [0, q) via base-p digits.  The
 tuple is exactly the coordinate vector in the F_q-basis {1, y, ..., y^{d-1}},
 which is what the linear algebra downstream works with.
 
-For e > 1, F_q is itself a field of this module, `FieldCtx(p, 1, e)`, whose
-`to_int` is the base-p digit packing, so for p = 2 a sum of packed ints is
-their XOR.  Inverses outside the tables below come from the one extended
-Euclid, `poly_inv_mod`, once per element.
+For e > 1, F_q is itself a field of this module, `make_field(p, 1, e)`,
+shared through the field cache, whose `to_int` is the base-p digit packing,
+so for p = 2 a sum of packed ints is their XOR.  Inverses outside the tables
+below come from the one extended Euclid, `poly_inv_mod`, once per element.
 
 A field gets discrete-log tables for a primitive element g when it is listed
 whole, and not before: `subfield_elements` builds them before it lists the
@@ -256,10 +256,11 @@ class _BaseOps:
     """Arithmetic on F_q = F_p[x]/(h), elements packed as ints in [0, q).
 
     With e = 1 the five operations are the F_p methods below.  With e > 1,
-    F_q is the field `FieldCtx(p, 1, e)`: h is its modulus and the packing
-    is its `to_int` (value = sum(digit_i * p^i) over the coefficients of
-    x^i).  __init__ lists that field when it can be listed, which tables it
-    (the module's one table rule), and replaces the five operations:
+    F_q is the field `make_field(p, 1, e)`, shared through the field cache:
+    h is its modulus and the packing is its `to_int` (value = sum(digit_i *
+    p^i) over the coefficients of x^i).  __init__ lists that field when it
+    can be listed, which tables it (the module's one table rule), and
+    replaces the five operations:
     - for every F_{2^e}, add and sub by XOR of the packed digits and neg by
       the identity;
     - for a tabled F_{2^e}, mul and inv by int lookups read off its tables.
@@ -276,7 +277,7 @@ class _BaseOps:
         if e == 1:
             self.modulus = (0, 1)  # x, the least monic of degree 1
             return
-        f = FieldCtx(p, 1, e)
+        f = make_field(p, 1, e)
         self.modulus = f.ext_modulus
         self._unpack, self._pack = f.from_int, f.to_int
         with contextlib.suppress(SizeCapExceeded):

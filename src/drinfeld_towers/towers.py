@@ -10,8 +10,8 @@ hyperplane T_c (`_trace_hyperplane`) per value of c = x^{q^m-1} or X^{N_m};
 over F_{q^m} itself c lies in F_q^*, so rational successors cost no solve
 per point.  All come out in canonical element order, so output is
 deterministic.  The successor relation is cached once per tower variant and
-field (`_level_candidates`); enumeration extends chains by it and
-`TowerPoint` checks every pair against it.  Level 1 holds q^m - 1 points
+field (`_level_candidates`); `rational_chains` alone lists chains along it
+and `TowerPoint` checks every pair against it.  Level 1 holds q^m - 1 points
 in every variant, counted before any field is built.  Later level sizes of
 F and G come from the sizes |T_c| alone, one rank per c, so counting them
 lists no point and no field; H's are walks on its successor graph
@@ -167,8 +167,8 @@ def fiber_solutions(params: TowerParams, ctx: FieldCtx, x: FieldElem) -> list:
 def _level_candidates(params: TowerParams, ctx: FieldCtx, variant: str):
     """The tower's successor relation on ctx, cached once per variant and
     field: a cached map from x to the tuple of its nonzero successors.
-    Enumeration extends chains by it, walks count chains along it, and
-    `TowerPoint` checks pairs by membership in it."""
+    `rational_chains` extends chains by it, `_chain_counts` counts chains
+    along it, and `TowerPoint` checks pairs by membership in it."""
     return functools.cache(functools.partial(_solve_successors, params, ctx, variant))
 
 
@@ -223,11 +223,19 @@ def iter_rational(params: TowerParams, n: int, variant: str):
     length = n if variant != "H" else n - 1
     _check_points_cap(params, variant, length)
     ctx = params.field(params.m)
+    return (TowerPoint(variant, params, ctx, coords) for coords in rational_chains(params, variant, length))
+
+
+def rational_chains(params: TowerParams, variant: str, length: int):
+    """The one walk of the successor relation: the chains of `length` coordinates
+    in F_{q^m}^*, lazily, in canonical order with the first coordinate slowest.
+    The call lists, and so tables, F_{q^m}; it checks no cap."""
+    ctx = params.field(params.m)
     successors = _level_candidates(params, ctx, variant)
-    frontier = ((x,) for x in ctx.all_elements() if x != ctx.zero)
+    chains = ((x,) for x in ctx.all_elements() if x != ctx.zero)
     for _ in range(length - 1):
-        frontier = (t + (y,) for t in frontier for y in successors(t[-1]))
-    return (TowerPoint(variant, params, ctx, coords) for coords in frontier)
+        chains = (t + (y,) for t in chains for y in successors(t[-1]))
+    return chains
 
 
 def _check_points_cap(params: TowerParams, variant: str, length: int) -> None:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld_towers.cli import _JSON, COMMANDS, _config, build_parser, fast_parse, main
-from drinfeld_towers import field
+from drinfeld_towers import cli, field
 from drinfeld_towers.field import DEFAULT_SIZE_CAP, FieldCtx, is_prime
 from drinfeld_towers.isogeny import TowerParams
 from drinfeld_towers.towers import TowerPoint, enumerate_rational, ihara_bound
@@ -392,6 +392,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--suite", s, "--p", "2", "--e", "2", "--m", "3", "--j", "2"] for s in ("lemma1_6", "thm1_7", "theta", "rsu")]
+        + [["--suite", "roundtrip"]],
+        ids=lambda argv: argv[1],
+    )
+    def test_single_suite_from_a_cold_interpreter(self, capsys, argv):
+        # each suite alone, before anything in the process has listed
+        # F_{q^m}, prints what it prints in-process after other work
+        proc = _cli(["verify", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == ""
+        assert out == run(capsys, "verify", *argv)[1]
+
 
 # one command per way a report is written: JSON and CSV point records, one
 # line each, and verify's single report line; the points runs write far more
@@ -479,6 +493,22 @@ class TestStdoutFailures:
             os.close(fd)
         assert code == 141 and err.getvalue() == ""
         assert pipe.getvalue().splitlines() == full.getvalue().splitlines()[:lines]
+
+
+@pytest.mark.parametrize("raiser", ["fast_parse", "build_parser"])
+def test_interrupt_while_parsing_exits_130(capsys, monkeypatch, raiser):
+    # a Ctrl-C while argv is parsed, by the fast parse or argparse, exits
+    # like one while a handler runs: 130 and nothing on stderr
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "fast_parse", lambda argv: None)
+    monkeypatch.setattr(cli, raiser, interrupt)
+    try:
+        code = main(["bound", "--p", "2", "--m", "2"])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130 and capsys.readouterr() == ("", "")
 
 
 class TestRunConfig:

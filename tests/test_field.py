@@ -366,8 +366,10 @@ class TestBaseField:
 
     @pytest.mark.parametrize("p,e", [(2, 3), (2, 4)])
     def test_cached_formulas_match_digit_oracle(self, monkeypatch, p, e):
-        # F_q above the listing cap is not listed, so not tabled
+        # F_q above the listing cap is not listed, so not tabled; built
+        # anew, since the cached F_q was listed under the full cap
         monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
+        monkeypatch.setattr(field, "make_field", FieldCtx)
         ops = _BaseOps(p, e)
         assert not _base_tabled(ops)
         assert ops.add is ops.sub is operator.xor  # XOR with or without tables
@@ -407,8 +409,10 @@ class TestBaseField:
     def test_digit_work_once_per_argument_tuple_without_tables(self, monkeypatch):
         # the same bound with every table off: nothing lists the extension
         # fields, so they run on coordinates, and the listing cap is lowered
-        # below every F_q, so that F_{2^e} too runs on its cached operations
+        # below every F_q, built anew, so that F_{2^e} too runs on its cached
+        # operations
         monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
+        monkeypatch.setattr(field, "make_field", FieldCtx)
         self._digit_work(monkeypatch, listed=False)
 
     @staticmethod
@@ -576,8 +580,9 @@ class TestNonPrimeBaseCoordinates:
         [(2, 2, 6, True), (2, 3, 3, True), (2, 2, 6, False), (2, 3, 3, False), (3, 2, 3, False), (5, 2, 2, False)],
     )
     def test_against_oracles(self, monkeypatch, p, e, d, base_tables):
-        if not base_tables:
+        if not base_tables:  # an F_q built anew, under a listing cap below q
             monkeypatch.setattr(field, "ENUMERATION_CAP", 0)
+            monkeypatch.setattr(field, "make_field", FieldCtx)
         ctx = FieldCtx(p, e, d)  # a fresh build that nothing lists
         assert ctx._log is None and _base_tabled(ctx._bops) == base_tables
         rng = random.Random(5)
@@ -608,8 +613,9 @@ class TestCombine:
     # and multiplies by a cached operation; F_9 runs on cached operations
     @pytest.mark.parametrize("p,e,cap", [(3, 1, None), (17, 1, None), (2, 2, None), (2, 3, 0), (3, 2, 0)])
     def test_matches_per_term_sum(self, monkeypatch, p, e, cap):
-        if cap is not None:
+        if cap is not None:  # an F_q built anew under the lowered cap
             monkeypatch.setattr(field, "ENUMERATION_CAP", cap)
+            monkeypatch.setattr(field, "make_field", FieldCtx)
         ops = _BaseOps(p, e)
         q, n = ops.size, 5
         rng = random.Random(7)
@@ -844,6 +850,7 @@ class TestTableRule:
 
     def test_base_tabled_exactly_when_listable(self, monkeypatch):
         monkeypatch.setattr(field, "ENUMERATION_CAP", 8)
+        monkeypatch.setattr(field, "make_field", FieldCtx)  # each F_q built anew under that cap
         assert _base_tabled(_BaseOps(2, 3)) and not _base_tabled(_BaseOps(2, 4))
 
     @pytest.mark.parametrize("p,e", [(2, 26), (3, 16)])
@@ -855,7 +862,7 @@ class TestTableRule:
         start = time.perf_counter()
         ctx = FieldCtx(p, e, 1)
         assert time.perf_counter() - start < 0.5
-        base = ctx._bops._unpack.__self__  # the FieldCtx(p, 1, e) whose operations F_q runs
+        base = ctx._bops._unpack.__self__  # the make_field(p, 1, e) whose operations F_q runs
         assert ctx._log is None and base._log is None and hasattr(ctx._bops.mul, "cache_info")
 
 

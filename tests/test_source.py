@@ -124,6 +124,17 @@ def test_verify_walks_the_successor_relation():
         assert name not in {"iter_rational", "enumerate_rational", "TowerPoint"}, f"{name} at verify.py:{node.lineno}"
 
 
+def test_no_successor_relation_outside_towers():
+    # towers.rational_chains is the one walk of the successor relation; a
+    # module that named the relation itself could walk it a second way
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "towers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            assert name != "_level_candidates", f"{name} at {path.name}:{node.lineno}"
+
+
 def test_one_spelling_per_twisted_operation():
     # ore_add, ore_mul and evaluate are the operations on a TwistedPoly; an
     # operator or call method would be a second spelling of one of them

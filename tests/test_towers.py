@@ -316,6 +316,26 @@ class TestEnumeration:
             assert sizes == [len(enumerate_rational(params, n, variant)) for n in levels]
             assert sizes == list(itertools.islice(towers._level_sizes(params, variant), 3))
 
+    @pytest.mark.parametrize("params", [P221, P321, P2232, P331], ids=["221", "321", "2232", "331"])
+    def test_rational_chains_match_chain_counts(self, params):
+        # the one walk yields nonzero coordinates only, in canonical order
+        # (by to_int, first coordinate slowest, no repeats), and as many
+        # chains as the counting walk counts
+        ctx = params.field(params.m)
+        for variant in ("F", "G", "H"):
+            counts = towers._chain_counts(params, ctx, variant)
+            for length in (1, 2, 3):
+                chains = list(towers.rational_chains(params, variant, length))
+                assert all(len(chain) == length and ctx.zero not in chain for chain in chains)
+                keys = [tuple(map(ctx.to_int, chain)) for chain in chains]
+                assert keys == sorted(set(keys))
+                assert len(chains) == next(counts)
+
+    def test_rational_chains_are_lazy(self):
+        # level 40 of (2, 1, 5, 2) holds 31 * 16^39 chains; the first comes at once
+        first = next(towers.rational_chains(P2152, "F", 40))
+        assert first[:2] == next(towers.rational_chains(P2152, "F", 2)) and len(first) == 40
+
     @pytest.mark.parametrize("params", LEVEL_SIZE_TOWERS, ids=lambda pr: f"{pr.p}{pr.e}{pr.m}{pr.j}")
     def test_hyperplane_sizes_match_walks(self, params):
         # oracle: F's (q^m-1)|T_1|^{n-1} and G's N_m sum_c |T_c|^{n-1} are the walked counts
